@@ -4,8 +4,7 @@
  * per system family and a paper-vs-measured table convention. Each
  * bench binary prints the same rows/series its paper counterpart
  * reports; absolute values differ (simulated substrate) but the
- * shape — ordering, crossovers, scaling — is the claim under test
- * (see EXPERIMENTS.md).
+ * shape — ordering, crossovers, scaling — is the claim under test.
  */
 
 #ifndef MOELIGHT_BENCH_BENCH_UTIL_HH

@@ -9,6 +9,16 @@
  * Expert FFN semantics (Mixtral-style SwiGLU):
  *   y = W2 * ( silu(W1 x) ⊙ (W3 x) )
  * with W1, W3 of shape [h2, h1] and W2 of shape [h1, h2].
+ *
+ * The batched kernel groups tokens by expert: each routed expert's
+ * weights are resolved once and read by one m-row GEMM chain over
+ * all the tokens routed to it, so a micro-batch streams
+ * min(ne, tokens * k) experts rather than tokens * k — the weight-read
+ * amortisation the perf model's post-attention cost assumes. Every
+ * GEMM element is m-independent (linalg.hh) and each token's expert
+ * outputs are summed in its routing order, so the result is
+ * bit-identical to the per-token composition of expertFfnForward and
+ * accumulateScaled.
  */
 
 #ifndef MOELIGHT_KERNELS_MOE_FFN_HH
@@ -46,10 +56,14 @@ using ExpertResolver = std::function<ExpertWeights(int expert)>;
  * @param h1       Model hidden dim.
  * @param h2       Expert intermediate dim.
  * @param out      Output activations, [tokens, h1]; overwritten.
- * @param pool     Optional pool: tokens are distributed across it
- *                 with one scratch buffer per worker slot. Results
- *                 are identical with or without the pool (token
- *                 outputs are disjoint).
+ * @param pool     Optional pool: distinct experts are distributed
+ *                 across it, with one scratch buffer per worker slot
+ *                 sized to the largest expert group. Results are
+ *                 identical with or without the pool (expert groups
+ *                 write disjoint rows).
+ *
+ * @p resolve is called once per distinct routed expert per call (from
+ * pool workers when @p pool is given), never once per token.
  */
 void moeFfnForward(const float *x, std::span<const TokenRouting> routing,
                    const ExpertResolver &resolve, std::size_t tokens,
@@ -57,8 +71,9 @@ void moeFfnForward(const float *x, std::span<const TokenRouting> routing,
                    ThreadPool *pool = nullptr);
 
 /**
- * Single dense expert FFN applied to one token; building block of
- * moeFfnForward, exposed for unit testing.
+ * Single dense expert FFN applied to one token: the per-token
+ * composition moeFfnForward is bit-identical to (used by the unit
+ * tests and the retained naive MoE kernel).
  */
 void expertFfnForward(const float *x, const ExpertWeights &w,
                       std::size_t h1, std::size_t h2, float *out,

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "kernels/linalg.hh"
 #include "kernels/ops.hh"
 
 namespace moelight {
@@ -116,6 +117,28 @@ gqaPrefillAttention(const float *q, const float *k, const float *v,
                 for (std::size_t d = 0; d < headDim; ++d)
                     oh[d] += s * vt[d];
             }
+        }
+    }
+}
+
+void
+moeFfnForward(const float *x, std::span<const TokenRouting> routing,
+              const ExpertResolver &resolve, std::size_t tokens,
+              std::size_t h1, std::size_t h2, float *out)
+{
+    panicIf(routing.size() != tokens, "routing size != token count");
+    std::memset(out, 0, tokens * h1 * sizeof(float));
+    std::vector<float> scratch(expertFfnScratchSize(h2));
+    std::vector<float> expertOut(h1);
+    for (std::size_t t = 0; t < tokens; ++t) {
+        const TokenRouting &r = routing[t];
+        panicIf(r.experts.size() != r.weights.size(),
+                "malformed routing entry");
+        for (std::size_t e = 0; e < r.experts.size(); ++e) {
+            expertFfnForward(x + t * h1, resolve(r.experts[e]), h1, h2,
+                             expertOut.data(), scratch);
+            accumulateScaled(out + t * h1, expertOut.data(),
+                             r.weights[e], h1);
         }
     }
 }

@@ -14,6 +14,7 @@
 #include <span>
 
 #include "kernels/attention.hh"
+#include "kernels/moe_ffn.hh"
 
 namespace moelight {
 namespace naive {
@@ -41,6 +42,15 @@ void gqaDecodeAttention(const float *q, std::size_t nQ, const KvView &kv,
 void gqaPrefillAttention(const float *q, const float *k, const float *v,
                          std::size_t seqLen, std::size_t nQ, std::size_t nKv,
                          std::size_t headDim, float *out, float scale);
+
+/**
+ * Per-token MoE FFN: one m=1 expertFfnForward per (token, choice),
+ * resolving and reading that expert's weights every time. The
+ * pre-grouping moeFfnForward, kept as fig9's speedup baseline.
+ */
+void moeFfnForward(const float *x, std::span<const TokenRouting> routing,
+                   const ExpertResolver &resolve, std::size_t tokens,
+                   std::size_t h1, std::size_t h2, float *out);
 
 } // namespace naive
 } // namespace moelight

@@ -143,8 +143,13 @@ TEST(StreamExecutor, InjectedTaskFaultFlowsThroughSync)
         // Third executor task dies via the exec.task site — the same
         // capture path a real task exception takes.
         ScopedFault fault("exec.task", 3);
+        EventPtr last;
         for (int i = 0; i < 6; ++i)
-            ex.submit(ResourceKind::Gpu, {}, [&] { ++ran; });
+            last = ex.submit(ResourceKind::Gpu, {}, [&] { ++ran; });
+        // sync()'s fence tasks on the idle queues pass the same check
+        // site; drain the Gpu queue first so they cannot take the 3rd
+        // check. A failed task still signals, so this cannot hang.
+        last->wait();
         try {
             ex.sync();
             FAIL() << "injected fault should surface at sync";
@@ -155,8 +160,7 @@ TEST(StreamExecutor, InjectedTaskFaultFlowsThroughSync)
         EXPECT_EQ(fault.hits(), 1u);
     }
     // The faulted task's body never ran; the other five did (sync's
-    // own fence tasks also pass the check site, but the injector had
-    // already disarmed).
+    // own fence tasks ran after the injector had already disarmed).
     EXPECT_EQ(ran.load(), 5);
     std::atomic<bool> again{false};
     ex.submit(ResourceKind::Cpu, {}, [&] { again = true; });
