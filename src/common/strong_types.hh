@@ -2,8 +2,8 @@
  * @file
  * Strong index types: one phantom-tagged integer wrapper per index
  * domain, so the runtime's parallel index spaces — sequence slots,
- * layers, token positions, KV/Q heads, page-table blocks, arena
- * pages — stop being freely interchangeable `std::size_t`s. A
+ * layers, token positions, KV/Q heads, experts, page-table blocks,
+ * arena pages — stop being freely interchangeable `std::size_t`s. A
  * transposed (seq, layer) pair or a BlockId used as a PageId is a
  * compile error, not silent KV corruption at a distance.
  *
@@ -244,6 +244,8 @@ using KvHeadIdx = StrongIndex<struct KvHeadIdxTag>;
 using QHeadIdx = StrongIndex<struct QHeadIdxTag>;
 /** A serving-engine sequence slot (scheduling domain). */
 using SlotIdx = StrongIndex<struct SlotIdxTag>;
+/** A routed expert within one layer's MoE FFN. */
+using ExpertIdx = StrongIndex<struct ExpertIdxTag>;
 
 } // namespace moelight
 

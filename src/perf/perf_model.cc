@@ -101,13 +101,31 @@ PerfModel::hiddenLoadTime(std::size_t mu) const
            hw_.effBcg();
 }
 
+double
+PerfModel::streamedExperts(const Policy &pol) const
+{
+    double routed = static_cast<double>(pol.microBatch) *
+                    static_cast<double>(model_.k);
+    double ne = static_cast<double>(model_.ne);
+    return pol.numUbs() == 1 && routed < ne ? routed : ne;
+}
+
+Seconds
+PerfModel::layerStreamTime(const Policy &pol, double experts) const
+{
+    double expert_bytes = model_.expertParams() * model_.weightByte();
+    double dense = model_.weightBytesPerLayer() -
+                   static_cast<double>(model_.ne) * expert_bytes;
+    double streamed = pol.ffnOnGpu
+        ? (1.0 - pol.weightsOnGpu) * (dense + experts * expert_bytes)
+        : (1.0 - pol.weightsOnGpu) * model_.attnWeightBytesPerLayer();
+    return streamed / hw_.effBcg();
+}
+
 Seconds
 PerfModel::weightStreamTime(const Policy &pol) const
 {
-    double streamed = pol.ffnOnGpu
-        ? (1.0 - pol.weightsOnGpu) * model_.weightBytesPerLayer()
-        : (1.0 - pol.weightsOnGpu) * model_.attnWeightBytesPerLayer();
-    return streamed / hw_.effBcg();
+    return layerStreamTime(pol, streamedExperts(pol));
 }
 
 Seconds
@@ -226,7 +244,9 @@ PerfModel::prefillTime(const Policy &pol) const
     Seconds compute =
         std::max(c.flops / hw_.effPg(),
                  (c.weightBytes + c.actBytes) / hw_.effBg());
-    Seconds weights = weightStreamTime(pol);
+    // Prefill routes every prompt token: the whole layer streams.
+    Seconds weights =
+        layerStreamTime(pol, static_cast<double>(model_.ne));
     Seconds kv_off = c.kvBytes / hw_.effBcg();
     // Prefill is compute-bound and overlaps I/O (§4 footnote 7).
     Seconds per_layer = std::max({compute, weights, kv_off});

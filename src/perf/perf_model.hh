@@ -65,6 +65,13 @@ class PerfModel
     /** Link transfer times. */
     Seconds qkvOffloadTime(std::size_t mu) const;
     Seconds hiddenLoadTime(std::size_t mu) const;
+    /**
+     * Per-layer decode weight stream. A round of one micro-batch whose
+     * mu * k routed slots are fewer than ne streams the dense weights
+     * plus only mu * k experts, fetched after the router runs — the
+     * same rule the engine's router-gated rounds apply; any other
+     * round streams the whole layer.
+     */
     Seconds weightStreamTime(const Policy &pol) const;
     Seconds kvLoadTime(std::size_t mu, const Policy &pol) const;
 
@@ -94,6 +101,13 @@ class PerfModel
     bool padded() const { return padded_; }
 
   private:
+    /** Experts a decode layer streams under @p pol (see
+     *  weightStreamTime). */
+    double streamedExperts(const Policy &pol) const;
+    /** Stream time of one layer's weights with @p experts of its ne
+     *  expert FFNs included. */
+    Seconds layerStreamTime(const Policy &pol, double experts) const;
+
     ModelConfig model_;
     HardwareConfig hw_;
     WorkloadShape w_;

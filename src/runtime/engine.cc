@@ -78,6 +78,17 @@ struct PipelinedEngine::StepState
     std::vector<std::vector<float>> qkvCpu;
     std::vector<std::vector<float>> attnCpu;
 
+    /** Router-gated round (see engine.hh): layers stream only their
+     *  dense pages ahead, and each layer's routed experts are
+     *  fetched after its router runs. */
+    bool gated = false;
+    /** The PostAttn routing buffer: one row per token of the
+     *  micro-batch being post-processed. Route writes it on the Gpu
+     *  queue; in a gated round FetchExperts reads it on the HtoD queue
+     *  and Ffn on the Gpu queue, ordered only by the Route -> Fetch ->
+     *  Ffn events (docs/concurrency.md). */
+    std::vector<TokenRouting> routing;
+
     // Pipeline events (fresh every round; rounds are synced).
     std::vector<EventPtr> weightsReady;  ///< per layer
     std::vector<EventPtr> postPerUb;     ///< last Post event per ub
@@ -995,18 +1006,29 @@ PipelinedEngine::decodeActive(std::vector<RequestOutput> &finished)
     st.slotBusy.assign(store_.numSlots(), nullptr);
     st.cattn.assign(layers, std::vector<EventPtr>(st.numUbs));
 
-    // Preload layers 0 and 1; the prior round (or the admission
-    // prefill) synced, so the weight slots are free. Readiness is the
-    // task's own completion event — the worker signals it on every
-    // path, error and injected-fault included, so a failed load can
-    // never leave dependents waiting (a hand-signaled event inside
-    // the body would: an exec.task fault kills the body before its
-    // first statement). The error itself surfaces at sync().
+    // A single micro-batch whose rows route to fewer than ne experts
+    // per layer gates its expert stream on the router: it needs at
+    // most rows * k of the layer's experts, and with one micro-batch
+    // only its own compute would overlap a full-layer stream anyway.
+    st.gated = st.numUbs == 1 && n_act * w_.cfg.k < w_.cfg.ne;
+
+    // Preload layers 0 and 1 (only their dense pages in a gated
+    // round); the prior round (or the admission prefill) synced, so
+    // the weight slots are free. Readiness is the task's own
+    // completion event — the worker signals it on every path, error
+    // and injected-fault included, so a failed load can never leave
+    // dependents waiting (a hand-signaled event inside the body
+    // would: an exec.task fault kills the body before its first
+    // statement). The error itself surfaces at sync().
     for (std::size_t t = 0; t < std::min<std::size_t>(2, layers);
          ++t)
         st.weightsReady[t] = exec_->submit(
-            ResourceKind::HtoD, {},
-            [this, t] { store_.loadLayer(LayerIdx(t), te_); });
+            ResourceKind::HtoD, {}, [this, t, gated = st.gated] {
+                if (gated)
+                    store_.loadDense(LayerIdx(t), te_);
+                else
+                    store_.loadLayer(LayerIdx(t), te_);
+            });
 
     // Per-slot token counts before the round: a slot retired on a
     // mid-round fault must not report the garbage token the round's
@@ -1191,24 +1213,18 @@ PipelinedEngine::runDecodeChains(StepState &st)
         std::size_t i = m / ubs, j = m % ubs;
         pump(m);  // ensure this chain exists
 
-        // LoadH(i, j): attention output back to the GPU.
-        EventPtr loadh = exec_->submit(
-            ResourceKind::HtoD, {st.cattn[i][j]}, [this, &st, j] {
-                std::size_t n = st.ubSize(j);
-                te_.copyToGpu(st.attnCpu[j].data(),
-                              st.attnGpu[j].data(), n * qDim_);
-            });
-
         // Interleaved weight pages for the next layer. Chunk j covers
-        // an equal share of the layer's pages. Layers 0 and 1 were
-        // preloaded for this round, and the round ends after the last
-        // layer (admission may change the batch before the next one),
-        // so the wrap-around tail is skipped.
-        std::size_t target = (i + 1) % layers;
-        bool preloaded = i == 0;
-        bool skip_tail = i == layers - 1;
-        if (!preloaded && !skip_tail) {
-            std::size_t pages = store_.pagesPerLayer();
+        // an equal share of the layer's pages (its dense pages only
+        // in a gated round). Layers 0 and 1 were preloaded for this
+        // round, and the round ends after the last layer (admission
+        // may change the batch before the next one), so the
+        // wrap-around tail is skipped.
+        auto stream_chunk = [&] {
+            if (i == 0 || i == layers - 1)
+                return;
+            std::size_t target = i + 1;
+            std::size_t pages = st.gated ? PagedWeightStore::kDensePages
+                                         : store_.pagesPerLayer();
             std::size_t lo = pages * j / ubs;
             std::size_t hi = pages * (j + 1) / ubs;
             if (j == 0) {
@@ -1248,79 +1264,127 @@ PipelinedEngine::runDecodeChains(StepState &st)
                         store_.loadPage(LayerIdx(target), p, te_);
                 },
                 std::move(publish));
-        }
+        };
+
+        // A gated round's dense chunk only waits on the previous
+        // layer's Ffn, which retired before this layer's Pre ran, so
+        // it goes ahead of LoadH and streams under the attention
+        // instead of delaying this layer's expert fetch.
+        if (st.gated)
+            stream_chunk();
+
+        // LoadH(i, j): attention output back to the GPU.
+        EventPtr loadh = exec_->submit(
+            ResourceKind::HtoD, {st.cattn[i][j]}, [this, &st, j] {
+                std::size_t n = st.ubSize(j);
+                te_.copyToGpu(st.attnCpu[j].data(),
+                              st.attnGpu[j].data(), n * qDim_);
+            });
+
+        if (!st.gated)
+            stream_chunk();
 
         // PostAttn(i, j): O projection + residual + router + MoE FFN;
         // on the last layer also sample the round's token per row.
         std::vector<EventPtr> post_deps{loadh};
         if (st.weightsReady[i])
             post_deps.push_back(st.weightsReady[i]);
-        bool last_layer = i == layers - 1;
-        EventPtr post = exec_->submit(
-            ResourceKind::Gpu, std::move(post_deps),
-            [this, &st, i, j, last_layer] {
-                const ModelConfig &c = w_.cfg;
-                std::size_t n = st.ubSize(j);
-                // Batched O projection, router and MoE FFN across the
-                // micro-batch; per-token arithmetic matches the
-                // reference engine's m=1 calls bit-for-bit.
-                matmulTransposedB(st.attnGpu[j].data(),
-                                  store_.tensor(LayerIdx(i), "wo"),
-                                  gpuProjB_.data(), n, qDim_, h1_);
-                for (std::size_t r = 0; r < n; ++r) {
-                    float *x = st.xGpu[j].data() + r * h1_;
-                    accumulate(x, gpuProjB_.data() + r * h1_, h1_);
-                    rmsNorm(x, store_.tensor(LayerIdx(i), "ffn_norm"),
-                            gpuNormB_.data() + r * h1_, h1_);
-                }
-                matmulTransposedB(gpuNormB_.data(),
-                                  store_.tensor(LayerIdx(i), "router"),
-                                  gpuRlB_.data(), n, h1_, c.ne);
-                std::vector<TokenRouting> routing(n);
-                for (std::size_t r = 0; r < n; ++r)
-                    routing[r] = routeTopK(
-                        {gpuRlB_.data() + r * c.ne, c.ne}, c.k);
-                moeFfnForward(gpuNormB_.data(), routing,
-                              store_.resolver(LayerIdx(i)), n, h1_, c.h2,
-                              gpuFfnB_.data());
-                for (std::size_t r = 0; r < n; ++r)
-                    accumulate(st.xGpu[j].data() + r * h1_,
-                               gpuFfnB_.data() + r * h1_, h1_);
-                if (last_layer) {
-                    // Batched lmHead sampling: one micro-batch-wide
-                    // GEMM instead of per-row m=1 GEMVs — the GEMM's
-                    // per-row arithmetic is m-independent, so every
-                    // row's logits (and its argmax token) are
-                    // bit-identical to the per-row calls this
-                    // replaces. No pool: the GPU queue may run
-                    // concurrently with CPU attention, which owns
-                    // attnPool_.
-                    for (std::size_t r = 0; r < n; ++r)
-                        rmsNorm(st.xGpu[j].data() + r * h1_,
-                                w_.finalNorm.data(),
-                                gpuNormB_.data() + r * h1_, h1_);
-                    matmulTransposedB(gpuNormB_.data(),
-                                      w_.lmHead.data(),
-                                      gpuLogitsB_.data(), n, h1_,
-                                      vocab_);
-                    for (std::size_t r = 0; r < n; ++r) {
-                        SlotIdx slot =
-                            st.rowSlot[st.ubStart[j] + r];
-                        int next = static_cast<int>(argmax(
-                            {gpuLogitsB_.data() + r * vocab_,
-                             vocab_}));
-                        ActiveSeq &a = *slots_[slot.value()];
-                        a.tokens.push_back(next);
-                        a.next = next;
-                    }
-                }
-            });
+        EventPtr post;
+        if (st.gated) {
+            // Route -> FetchExperts -> Ffn: the layer's expert pages
+            // are fetched only once the router has named them, so
+            // the round reads at most rows * k experts per layer.
+            // Ffn is the next Gpu task after Route, so the normed
+            // rows Route leaves in gpuNormB_ are still there.
+            EventPtr route = exec_->submit(
+                ResourceKind::Gpu, std::move(post_deps),
+                [this, &st, i, j] { postRoute(st, LayerIdx(i), j); });
+            EventPtr fetch = exec_->submit(
+                ResourceKind::HtoD, {route}, [this, &st, i] {
+                    std::vector<ExpertIdx> routed;
+                    for (const TokenRouting &r : st.routing)
+                        for (int e : r.experts)
+                            routed.push_back(ExpertIdx(e));
+                    std::sort(routed.begin(), routed.end());
+                    routed.erase(
+                        std::unique(routed.begin(), routed.end()),
+                        routed.end());
+                    for (ExpertIdx e : routed)
+                        store_.loadExpert(LayerIdx(i), e, te_);
+                });
+            post = exec_->submit(
+                ResourceKind::Gpu, {fetch},
+                [this, &st, i, j] { postFfn(st, LayerIdx(i), j); });
+        } else {
+            post = exec_->submit(
+                ResourceKind::Gpu, std::move(post_deps),
+                [this, &st, i, j] {
+                    postRoute(st, LayerIdx(i), j);
+                    postFfn(st, LayerIdx(i), j);
+                });
+        }
 
         st.postPerUb[j] = post;
         if (j + 1 == ubs)
             st.slotBusy[i % store_.numSlots()] = post;
 
         pump(m + la);
+    }
+}
+
+void
+PipelinedEngine::postRoute(StepState &st, LayerIdx layer, std::size_t ub)
+{
+    const ModelConfig &c = w_.cfg;
+    std::size_t n = st.ubSize(ub);
+    // Batched O projection and router across the micro-batch;
+    // per-token arithmetic matches the reference engine's m=1 calls
+    // bit-for-bit.
+    matmulTransposedB(st.attnGpu[ub].data(), store_.tensor(layer, "wo"),
+                      gpuProjB_.data(), n, qDim_, h1_);
+    for (std::size_t r = 0; r < n; ++r) {
+        float *x = st.xGpu[ub].data() + r * h1_;
+        accumulate(x, gpuProjB_.data() + r * h1_, h1_);
+        rmsNorm(x, store_.tensor(layer, "ffn_norm"),
+                gpuNormB_.data() + r * h1_, h1_);
+    }
+    matmulTransposedB(gpuNormB_.data(), store_.tensor(layer, "router"),
+                      gpuRlB_.data(), n, h1_, c.ne);
+    st.routing.resize(n);
+    for (std::size_t r = 0; r < n; ++r)
+        st.routing[r] = routeTopK({gpuRlB_.data() + r * c.ne, c.ne}, c.k);
+}
+
+void
+PipelinedEngine::postFfn(StepState &st, LayerIdx layer, std::size_t ub)
+{
+    const ModelConfig &c = w_.cfg;
+    std::size_t n = st.ubSize(ub);
+    moeFfnForward(gpuNormB_.data(), st.routing, store_.resolver(layer), n,
+                  h1_, c.h2, gpuFfnB_.data());
+    for (std::size_t r = 0; r < n; ++r)
+        accumulate(st.xGpu[ub].data() + r * h1_,
+                   gpuFfnB_.data() + r * h1_, h1_);
+    if (layer.value() + 1 < c.l)
+        return;
+    // Last layer: batched lmHead sampling — one micro-batch-wide GEMM
+    // instead of per-row m=1 GEMVs. The GEMM's per-row arithmetic is
+    // m-independent, so every row's logits (and its argmax token) are
+    // bit-identical to the per-row calls this replaces. No pool: the
+    // GPU queue may run concurrently with CPU attention, which owns
+    // attnPool_.
+    for (std::size_t r = 0; r < n; ++r)
+        rmsNorm(st.xGpu[ub].data() + r * h1_, w_.finalNorm.data(),
+                gpuNormB_.data() + r * h1_, h1_);
+    matmulTransposedB(gpuNormB_.data(), w_.lmHead.data(),
+                      gpuLogitsB_.data(), n, h1_, vocab_);
+    for (std::size_t r = 0; r < n; ++r) {
+        SlotIdx slot = st.rowSlot[st.ubStart[ub] + r];
+        int next = static_cast<int>(
+            argmax({gpuLogitsB_.data() + r * vocab_, vocab_}));
+        ActiveSeq &a = *slots_[slot.value()];
+        a.tokens.push_back(next);
+        a.next = next;
     }
 }
 

@@ -19,6 +19,19 @@
  * their KV pages (float or quantized) back to the pool mid-flight
  * while the rest keep generating.
  *
+ * Router-gated rounds: a decode round with one micro-batch whose
+ * rows * k is below the expert count ne cannot touch every expert of
+ * a layer, and with a single micro-batch only its own compute would
+ * hide a full-layer stream. Such a round streams only each layer's
+ * dense pages ahead (norms, wq/wk/wv/wo, router), and its PostAttn
+ * splits into Route (O projection, residual, ffn_norm, router, top-k)
+ * on the GPU queue, FetchExperts (the distinct routed experts'
+ * w1/w3/w2 pages) on the HtoD queue and Ffn (MoE FFN, residual,
+ * lmHead on the last layer) on the GPU queue. The rule depends only
+ * on the round's shape; multi-micro-batch rounds and the zigzag
+ * prefill stream whole layers. Tokens are unchanged: the same weights
+ * are read.
+ *
  * Functional contract: identical greedy tokens to ReferenceEngine
  * per request for identical weights and KV geometry, regardless of
  * admission schedule or co-batching (tested in tests/runtime).
@@ -195,6 +208,13 @@ class PipelinedEngine : public Engine
     void prefillSlots(const std::vector<SlotIdx> &slots);
     void decodeActive(std::vector<RequestOutput> &finished);
     void runDecodeChains(StepState &st);
+    /** PostAttn's first half for micro-batch @p ub of @p layer: O
+     *  projection, residual, ffn_norm, router and top-k routing into
+     *  the round's routing buffer. */
+    void postRoute(StepState &st, LayerIdx layer, std::size_t ub);
+    /** PostAttn's second half: the MoE FFN over the routing buffer,
+     *  residual and, on the last layer, lmHead sampling. */
+    void postFfn(StepState &st, LayerIdx layer, std::size_t ub);
     void maybeRetire(SlotIdx slot,
                      std::vector<RequestOutput> &finished);
     void processLifecycle(std::vector<RequestOutput> &finished);

@@ -1,6 +1,7 @@
 #include "runtime/paged_weights.hh"
 
 #include <algorithm>
+#include <array>
 
 #include "common/logging.hh"
 #include "runtime/fault_injection.hh"
@@ -10,12 +11,18 @@ namespace moelight {
 
 namespace {
 
-/** Ordered tensor names for one layer of a Mixtral-style model. */
+/** Names of the dense pages, in page order. */
+constexpr std::array<const char *, PagedWeightStore::kDensePages>
+    kDenseNames{"attn_norm", "wq",       "wk",    "wv",
+                "wo",        "ffn_norm", "router"};
+
+/** Ordered tensor names for one layer of a Mixtral-style model, in
+ *  the page layout documented in paged_weights.hh. */
 std::vector<std::string>
 makeTensorNames(const ModelConfig &cfg)
 {
-    std::vector<std::string> names{"attn_norm", "wq", "wk", "wv",
-                                   "wo",        "ffn_norm", "router"};
+    std::vector<std::string> names(kDenseNames.begin(),
+                                   kDenseNames.end());
     for (std::size_t e = 0; e < cfg.ne; ++e) {
         std::string p = "e" + std::to_string(e) + ".";
         names.push_back(p + "w1");
@@ -25,41 +32,30 @@ makeTensorNames(const ModelConfig &cfg)
     return names;
 }
 
-/** CPU tensor for (layer weights, name). */
+/** CPU tensor behind page @p pageIdx of a layer. */
 const Tensor &
-cpuTensor(const LayerWeights &lw, const std::string &name)
+cpuTensor(const LayerWeights &lw, std::size_t pageIdx)
 {
-    if (name == "attn_norm")
-        return lw.attnNorm;
-    if (name == "wq")
-        return lw.wq;
-    if (name == "wk")
-        return lw.wk;
-    if (name == "wv")
-        return lw.wv;
-    if (name == "wo")
-        return lw.wo;
-    if (name == "ffn_norm")
-        return lw.ffnNorm;
-    if (name == "router")
-        return lw.router;
-    panicIf(name.size() < 4 || name[0] != 'e',
-            "unknown weight tensor '", name, "'");
-    std::size_t dot = name.find('.');
-    panicIf(dot == std::string::npos, "unknown weight tensor '", name,
-            "'");
-    std::size_t e = static_cast<std::size_t>(
-        std::stoul(name.substr(1, dot - 1)));
-    std::string kind = name.substr(dot + 1);
-    panicIf(e >= lw.w1.size(), "expert index out of range in '", name,
-            "'");
-    if (kind == "w1")
-        return lw.w1[e];
-    if (kind == "w3")
-        return lw.w3[e];
-    if (kind == "w2")
-        return lw.w2[e];
-    panic("unknown expert tensor kind '", kind, "'");
+    const Tensor *dense[PagedWeightStore::kDensePages] = {
+        &lw.attnNorm, &lw.wq,      &lw.wk,    &lw.wv,
+        &lw.wo,       &lw.ffnNorm, &lw.router};
+    if (pageIdx < PagedWeightStore::kDensePages)
+        return *dense[pageIdx];
+    std::size_t rel = pageIdx - PagedWeightStore::kDensePages;
+    std::size_t e = rel / PagedWeightStore::kPagesPerExpert;
+    panicIf(e >= lw.w1.size(), "weight page ", pageIdx,
+            " out of range");
+    const std::vector<Tensor> *parts[PagedWeightStore::kPagesPerExpert] =
+        {&lw.w1, &lw.w3, &lw.w2};
+    return (*parts[rel % PagedWeightStore::kPagesPerExpert])[e];
+}
+
+/** First page of expert @p e (its w1; w3 and w2 follow). */
+std::size_t
+expertPage(ExpertIdx e)
+{
+    return PagedWeightStore::kDensePages +
+           PagedWeightStore::kPagesPerExpert * e.value();
 }
 
 } // namespace
@@ -73,9 +69,10 @@ PagedWeightStore::PagedWeightStore(const ModelWeights &weights,
       gpu_("gpu-weights",
            [&] {
                std::size_t mx = 0;
-               for (const auto &n : makeTensorNames(weights.cfg))
+               std::size_t pages = makeTensorNames(weights.cfg).size();
+               for (std::size_t p = 0; p < pages; ++p)
                    mx = std::max(mx,
-                                 cpuTensor(weights.layers[0], n).numel());
+                                 cpuTensor(weights.layers[0], p).numel());
                return mx;
            }(),
            numSlots * makeTensorNames(weights.cfg).size())
@@ -111,9 +108,9 @@ PagedWeightStore::layerManifest(LayerIdx layer) const
             "layer out of range");
     std::vector<WeightTensorId> out;
     out.reserve(tensorCount_);
-    for (const auto &n : tensorNames_) {
-        const Tensor &t = cpuTensor(weights_.layers[layer.value()], n);
-        out.push_back({n, t.numel(), t.data()});
+    for (std::size_t p = 0; p < tensorCount_; ++p) {
+        const Tensor &t = cpuTensor(weights_.layers[layer.value()], p);
+        out.push_back({tensorNames_[p], t.numel(), t.data()});
     }
     return out;
 }
@@ -126,8 +123,7 @@ PagedWeightStore::loadPage(LayerIdx layer, std::size_t pageIdx,
             "layer out of range");
     panicIf(pageIdx >= tensorCount_, "page index out of range");
     FaultInjector::check("weights.load");
-    const Tensor &src =
-        cpuTensor(weights_.layers[layer.value()], tensorNames_[pageIdx]);
+    const Tensor &src = cpuTensor(weights_.layers[layer.value()], pageIdx);
     PageEntry &entry = table_[slotOf(layer)][pageIdx];
     try {
         te.stageToGpu(src.data(), gpu_.page(entry.page), src.numel());
@@ -154,32 +150,58 @@ PagedWeightStore::loadLayer(LayerIdx layer, TransferEngine &te)
         loadPage(layer, p, te);
 }
 
-const float *
-PagedWeightStore::tensor(LayerIdx layer, const std::string &name) const
+void
+PagedWeightStore::loadDense(LayerIdx layer, TransferEngine &te)
 {
-    const PageEntry &entry = table_[slotOf(layer)][tensorIndex(name)];
+    for (std::size_t p = 0; p < kDensePages; ++p)
+        loadPage(layer, p, te);
+}
+
+void
+PagedWeightStore::loadExpert(LayerIdx layer, ExpertIdx e,
+                             TransferEngine &te)
+{
+    panicIf(e.value() >= weights_.cfg.ne, "expert ", e,
+            " out of range");
+    for (std::size_t p = 0; p < kPagesPerExpert; ++p)
+        loadPage(layer, expertPage(e) + p, te);
+}
+
+const float *
+PagedWeightStore::residentPage(LayerIdx layer, std::size_t pageIdx) const
+{
+    const PageEntry &entry = table_[slotOf(layer)][pageIdx];
     panicIf(entry.residentLayer != static_cast<int>(layer.value()),
-            "weight page for '", name, "' of layer ", layer,
-            " not resident (slot holds layer ", entry.residentLayer,
+            "weight page for '", tensorNames_[pageIdx], "' of layer ",
+            layer, " not resident (slot holds layer ",
+            entry.residentLayer,
             ") — pipeline used weights before their transfer");
     return gpu_.page(entry.page);
 }
 
-ExpertWeights
-PagedWeightStore::expert(LayerIdx layer, int e) const
+const float *
+PagedWeightStore::tensor(LayerIdx layer, const std::string &name) const
 {
-    std::string p = "e" + std::to_string(e) + ".";
+    return residentPage(layer, tensorIndex(name));
+}
+
+ExpertWeights
+PagedWeightStore::expert(LayerIdx layer, ExpertIdx e) const
+{
+    panicIf(e.value() >= weights_.cfg.ne, "expert ", e,
+            " out of range");
+    std::size_t p = expertPage(e);
     ExpertWeights w;
-    w.w1 = tensor(layer, p + "w1");
-    w.w3 = tensor(layer, p + "w3");
-    w.w2 = tensor(layer, p + "w2");
+    w.w1 = residentPage(layer, p);
+    w.w3 = residentPage(layer, p + 1);
+    w.w2 = residentPage(layer, p + 2);
     return w;
 }
 
 ExpertResolver
 PagedWeightStore::resolver(LayerIdx layer) const
 {
-    return [this, layer](int e) { return expert(layer, e); };
+    return [this, layer](int e) { return expert(layer, ExpertIdx(e)); };
 }
 
 PageId

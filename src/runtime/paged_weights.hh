@@ -12,6 +12,14 @@
  * per layer in the analytical pipeline is policy-controlled
  * (sched/ScheduleOptions::pagesPerLayer); here the physical paging is
  * per-tensor so kernels see contiguous matrices.
+ *
+ * Page layout of a layer (the manifest order): the kDensePages dense
+ * pages first — attn_norm, wq, wk, wv, wo, ffn_norm, router — then
+ * expert e's w1, w3, w2 at pages kDensePages + 3e + {0, 1, 2}. A
+ * caller that knows a round's routing can therefore stream the dense
+ * part ahead (loadDense) and fetch only the routed experts after the
+ * router runs (loadExpert); the residency check in tensor() and
+ * expert() still panics on any page that was not fetched.
  */
 
 #ifndef MOELIGHT_RUNTIME_PAGED_WEIGHTS_HH
@@ -52,6 +60,11 @@ class PagedWeightStore
     PagedWeightStore(const ModelWeights &weights, PageArena &pinned,
                      std::size_t numSlots = 2);
 
+    /** Dense (non-expert) pages at the head of every layer. */
+    static constexpr std::size_t kDensePages = 7;
+    /** Pages per expert: w1, w3, w2. */
+    static constexpr std::size_t kPagesPerExpert = 3;
+
     /** Number of pages (tensors) a layer occupies. */
     std::size_t pagesPerLayer() const { return tensorCount_; }
     std::size_t numSlots() const { return numSlots_; }
@@ -69,6 +82,12 @@ class PagedWeightStore
     /** Convenience: transfer all pages of @p layer. */
     void loadLayer(LayerIdx layer, TransferEngine &te);
 
+    /** Transfer only the dense pages [0, kDensePages) of @p layer. */
+    void loadDense(LayerIdx layer, TransferEngine &te);
+
+    /** Transfer expert @p e 's w1/w3/w2 pages of @p layer. */
+    void loadExpert(LayerIdx layer, ExpertIdx e, TransferEngine &te);
+
     /**
      * GPU-side pointer for tensor @p name of @p layer. The layer's
      * pages must have been loaded into its slot; a stale slot (page
@@ -77,8 +96,9 @@ class PagedWeightStore
      */
     const float *tensor(LayerIdx layer, const std::string &name) const;
 
-    /** Page-table lookup of expert @p e 's weights for @p layer. */
-    ExpertWeights expert(LayerIdx layer, int e) const;
+    /** Page-table lookup of expert @p e 's weights for @p layer;
+     *  panics like tensor() when any of its pages is not resident. */
+    ExpertWeights expert(LayerIdx layer, ExpertIdx e) const;
 
     /** An ExpertResolver bound to @p layer (for moeFfnForward). */
     ExpertResolver resolver(LayerIdx layer) const;
@@ -101,6 +121,9 @@ class PagedWeightStore
         return layer.value() % numSlots_;
     }
     std::size_t tensorIndex(const std::string &name) const;
+    /** GPU pointer of page @p pageIdx, panicking unless @p layer's
+     *  copy of it is resident. */
+    const float *residentPage(LayerIdx layer, std::size_t pageIdx) const;
 
     const ModelWeights &weights_;
     std::size_t numSlots_;

@@ -67,9 +67,13 @@ TEST(ThreadPool, PropagatesException)
 
 TEST(ThreadPool, WorksWithSingleThread)
 {
+    // One worker plus the calling thread: two threads may run the
+    // body, so the shared vector needs the lock.
     ThreadPool pool(1);
     std::vector<int> order;
+    std::mutex mu;
     pool.parallelFor(8, [&](std::size_t i) {
+        std::lock_guard<std::mutex> lk(mu);
         order.push_back(static_cast<int>(i));
     });
     EXPECT_EQ(order.size(), 8u);

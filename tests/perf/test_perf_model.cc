@@ -156,6 +156,62 @@ TEST(PerfModel, DeepSpeedStreamsFullLayer)
     EXPECT_GE(t.total, stream);
 }
 
+/** Bytes of one expert FFN and of a layer's dense (non-expert) part. */
+double
+expertBytes(const ModelConfig &m)
+{
+    return m.expertParams() * m.weightByte();
+}
+
+double
+denseBytes(const ModelConfig &m)
+{
+    return m.weightBytesPerLayer() -
+           static_cast<double>(m.ne) * expertBytes(m);
+}
+
+TEST(PerfModel, LoneRowStreamsDensePlusRoutedExperts)
+{
+    // Mixtral 8x7B routes top-2 of 8: one row in one micro-batch
+    // needs 2 experts per layer, so the stream is dense + 2 experts.
+    PerfModel pm = s1Model();
+    ModelConfig m = mixtral8x7b();
+    Policy p = cgoPolicy(1, 1);
+    Seconds want = (denseBytes(m) + 2.0 * expertBytes(m)) /
+                   t4Host().effBcg();
+    EXPECT_NEAR(pm.weightStreamTime(p), want, 1e-12);
+    LayerTime t = pm.layerDecode(p);
+    EXPECT_NEAR(t.commHtoD, want + pm.hiddenLoadTime(1), 1e-12);
+
+    // Resident weights scale the gated stream like the full one.
+    p.weightsOnGpu = 0.5;
+    EXPECT_NEAR(pm.weightStreamTime(p), 0.5 * want, 1e-12);
+}
+
+TEST(PerfModel, FullStreamWhenRoutedSlotsCoverExperts)
+{
+    PerfModel pm = s1Model();
+    Seconds full =
+        mixtral8x7b().weightBytesPerLayer() / t4Host().effBcg();
+    // mu * k == ne: every expert may be routed.
+    EXPECT_NEAR(pm.weightStreamTime(cgoPolicy(4, 4)), full, 1e-12);
+    // Several micro-batches stream the whole layer however small
+    // each one is.
+    EXPECT_NEAR(pm.weightStreamTime(cgoPolicy(2, 1)), full, 1e-12);
+    EXPECT_NEAR(pm.weightStreamTime(cgoPolicy(512, 32)), full, 1e-12);
+}
+
+TEST(PerfModel, PrefillStreamsWholeLayerEvenForOneRow)
+{
+    // Prefill routes every prompt token, so the gated decode stream
+    // must not leak into it.
+    PerfModel pm = s1Model();
+    ModelConfig m = mixtral8x7b();
+    Seconds full = m.weightBytesPerLayer() / t4Host().effBcg();
+    EXPECT_GE(pm.prefillTime(cgoPolicy(1, 1)),
+              static_cast<double>(m.l) * full);
+}
+
 TEST(PerfModel, RejectsBadWorkload)
 {
     EXPECT_THROW(

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <string>
+#include <tuple>
+
 #include "common/rng.hh"
 #include "runtime/engine.hh"
 #include "runtime/reference_engine.hh"
@@ -256,6 +260,136 @@ TEST(PipelinedEngine, RejectsBadPrompts)
     EXPECT_THROW(eng.generate({{1, 2}}, 0), FatalError);
     EXPECT_THROW(eng.generate({{}}, 2), FatalError);
     EXPECT_THROW(eng.generate({{99999}}, 2), FatalError);
+}
+
+// ---------------------------------------------------------------------
+// Router-gated rounds: one micro-batch whose rows * k is below ne
+// streams dense pages ahead and fetches only the routed experts.
+// ---------------------------------------------------------------------
+
+/** tinyMixtral with top-2-of-8 routing: rounds of 1-3 rows gate. */
+ModelConfig
+top2of8()
+{
+    ModelConfig m = tinyMixtral();
+    m.ne = 8;
+    m.validate();
+    return m;
+}
+
+/** Bytes of one layer's dense pages (norms, wq/wk/wv/wo, router). */
+std::uint64_t
+denseBytes(const LayerWeights &lw)
+{
+    return (lw.attnNorm.numel() + lw.wq.numel() + lw.wk.numel() +
+            lw.wv.numel() + lw.wo.numel() + lw.ffnNorm.numel() +
+            lw.router.numel()) *
+           sizeof(float);
+}
+
+/** Bytes of expert 0's w1/w3/w2 pages (every expert is this size). */
+std::uint64_t
+expertBytes(const LayerWeights &lw)
+{
+    return (lw.w1[0].numel() + lw.w3[0].numel() + lw.w2[0].numel()) *
+           sizeof(float);
+}
+
+std::optional<QuantKind>
+quantOf(int idx)
+{
+    if (idx == 1)
+        return QuantKind::Int8;
+    if (idx == 2)
+        return QuantKind::Int4;
+    return std::nullopt;
+}
+
+/** (active rows, KV mode: 0 float / 1 int8 / 2 int4). */
+class GatedRounds
+    : public ::testing::TestWithParam<std::tuple<int, int>>
+{
+};
+
+TEST_P(GatedRounds, MatchReferenceAndStreamOnlyRoutedExperts)
+{
+    auto [rows, qidx] = GetParam();
+    std::optional<QuantKind> quant = quantOf(qidx);
+    ModelWeights w = ModelWeights::random(top2of8(), 51);
+    auto prompts = makePrompts(w.cfg, static_cast<std::size_t>(rows), 2,
+                               9, 61 + static_cast<std::uint64_t>(rows));
+    const int gen = 6;
+    ReferenceEngine ref(w, quant, 4);
+    auto expect = ref.generate(prompts, gen);
+
+    EngineConfig ec;
+    ec.microBatch = 4;  // every row in one micro-batch
+    ec.kvPageTokens = 4;
+    ec.kvQuant = quant;
+    PipelinedEngine eng(w, ec);
+    auto got = eng.generate(prompts, gen);
+    ASSERT_EQ(got.size(), expect.size());
+    for (std::size_t s = 0; s < got.size(); ++s)
+        EXPECT_EQ(got[s].tokens, expect[s].tokens) << "seq " << s;
+
+    // The admission prefill and the gen - 1 decode rounds each stream
+    // every layer; a gated decode round streams the dense pages plus
+    // at most rows * k experts per layer instead.
+    const LayerWeights &lw = w.layers[0];
+    std::uint64_t layers = w.cfg.l;
+    std::uint64_t full =
+        layers * (denseBytes(lw) + w.cfg.ne * expertBytes(lw));
+    std::uint64_t streamed = eng.transferStats().pinnedToGpu;
+    std::uint64_t routed = static_cast<std::uint64_t>(rows) * w.cfg.k;
+    if (routed < w.cfg.ne) {
+        std::uint64_t gated_max =
+            layers * (denseBytes(lw) + routed * expertBytes(lw));
+        EXPECT_LE(streamed, full + (gen - 1) * gated_max);
+        EXPECT_GE(streamed, full + (gen - 1) * layers *
+                                       (denseBytes(lw) +
+                                        w.cfg.k * expertBytes(lw)));
+    } else {
+        EXPECT_EQ(streamed, gen * full) << "4 rows cover all 8 experts";
+    }
+}
+
+std::string
+gatedCaseName(const ::testing::TestParamInfo<std::tuple<int, int>> &info)
+{
+    static const char *kModes[] = {"float", "int8", "int4"};
+    return "rows" + std::to_string(std::get<0>(info.param)) + "_" +
+           kModes[std::get<1>(info.param)];
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RowsByKvMode, GatedRounds,
+    ::testing::Combine(::testing::Values(1, 2, 3, 4),
+                       ::testing::Values(0, 1, 2)),
+    gatedCaseName);
+
+TEST(GatedRounds, LoneDecodeRoundStreamsDensePlusTwoExperts)
+{
+    ModelWeights w = ModelWeights::random(top2of8(), 52);
+    EngineConfig ec;
+    ec.kvPageTokens = 4;
+    PipelinedEngine eng(w, ec);
+    ServeRequest req;
+    req.id = 1;
+    req.prompt = {3, 1, 4, 1, 5};
+    req.maxNewTokens = 4;
+    eng.submit(req);
+    ASSERT_TRUE(eng.step().empty());  // admission prefill + a round
+    std::uint64_t before = eng.transferStats().pinnedToGpu;
+    ASSERT_TRUE(eng.step().empty());  // one decode round
+    std::uint64_t delta = eng.transferStats().pinnedToGpu - before;
+    const LayerWeights &lw = w.layers[0];
+    EXPECT_EQ(delta,
+              w.cfg.l * (denseBytes(lw) + 2 * expertBytes(lw)));
+    auto rest = eng.drain();
+    ASSERT_EQ(rest.size(), 1u);
+    ReferenceEngine ref(w);
+    ref.submit(req);
+    EXPECT_EQ(rest[0].tokens, ref.drain()[0].tokens);
 }
 
 } // namespace

@@ -134,6 +134,10 @@ struct FaultCase
     std::optional<QuantKind> quant;
     std::uint64_t nth;  ///< check count that trips mid-flight
     const char *tag;
+    std::size_t experts = 4;  ///< ne of the tinyMixtral variant
+    /** When nonzero, the fault lands in a round of exactly this many
+     *  rows and must retire all of them (round scope). */
+    std::size_t roundRows = 0;
 };
 
 class FaultContainment : public ::testing::TestWithParam<FaultCase>
@@ -143,7 +147,9 @@ class FaultContainment : public ::testing::TestWithParam<FaultCase>
 TEST_P(FaultContainment, FaultedRetiresErrorSurvivorsBitIdentical)
 {
     const FaultCase fc = GetParam();
-    ModelWeights w = ModelWeights::random(tinyMixtral(), 99);
+    ModelConfig mc = tinyMixtral();
+    mc.ne = fc.experts;
+    ModelWeights w = ModelWeights::random(mc, 99);
     EngineConfig ec;
     ec.microBatch = 2;
     ec.kvPageTokens = 4;
@@ -207,6 +213,10 @@ TEST_P(FaultContainment, FaultedRetiresErrorSurvivorsBitIdentical)
     }
     EXPECT_GE(errored, 1u);
     EXPECT_LT(errored, wave1.size() + 1);
+    if (fc.roundRows != 0) {
+        EXPECT_EQ(errored, fc.roundRows)
+            << "a round-scope fault retires its whole co-batch";
+    }
 
     // The engine keeps serving: a fresh wave after the fault is
     // clean and bit-identical.
@@ -236,7 +246,18 @@ INSTANTIATE_TEST_SUITE_P(
         FaultCase{"weights.load", QuantKind::Int4, 30, "weights_int4"},
         FaultCase{"exec.task", std::nullopt, 80, "exec_float"},
         FaultCase{"exec.task", QuantKind::Int8, 80, "exec_int8"},
-        FaultCase{"exec.task", QuantKind::Int4, 80, "exec_int4"}),
+        FaultCase{"exec.task", QuantKind::Int4, 80, "exec_int4"},
+        // Top-2-of-8 routing: with microBatch 2, wave 1's budgets
+        // (5..8 tokens) leave 4, 4, 4, 4, 3 rows (two micro-batches,
+        // whole layers: 4 x 31 pages a round) for decode rounds 1-5,
+        // then two rows in one micro-batch: round 6 is router-gated.
+        // Prefill and rounds 1-5 take 6 x 124 = 744 checks, round 6's
+        // dense preloads of layers 0 and 1 take 14, so check 759 is
+        // the first page of layer 0's routed-expert fetch. Both rows
+        // of that round retire; wave 2 (two rows) is served by gated
+        // rounds afterwards.
+        FaultCase{"weights.load", std::nullopt, 759, "weights_gated",
+                  8, 2}),
     [](const ::testing::TestParamInfo<FaultCase> &info) {
         return info.param.tag;
     });

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string>
+#include <vector>
 
 #include "common/logging.hh"
 #include "runtime/paged_weights.hh"
@@ -83,6 +85,88 @@ TEST(PagedWeights, PartialPageLoadOnlyMarksThatPage)
     f.store.loadPage(LayerIdx(0), 0, f.te);  // attn_norm only
     EXPECT_NO_THROW(f.store.tensor(LayerIdx(0), "attn_norm"));
     EXPECT_THROW(f.store.tensor(LayerIdx(0), "wq"), PanicError);
+}
+
+TEST(PagedWeights, ManifestLayoutIsDenseThenExperts)
+{
+    Fixture f;
+    auto manifest = f.store.layerManifest(LayerIdx(0));
+    ASSERT_EQ(manifest.size(),
+              PagedWeightStore::kDensePages +
+                  PagedWeightStore::kPagesPerExpert * 4);
+    EXPECT_EQ(manifest[PagedWeightStore::kDensePages - 1].name,
+              "router");
+    for (std::size_t e = 0; e < 4; ++e) {
+        std::size_t p = PagedWeightStore::kDensePages + 3 * e;
+        std::string pre = "e" + std::to_string(e) + ".";
+        EXPECT_EQ(manifest[p].name, pre + "w1");
+        EXPECT_EQ(manifest[p + 1].name, pre + "w3");
+        EXPECT_EQ(manifest[p + 2].name, pre + "w2");
+    }
+}
+
+/** Names of the pages of @p layer that are resident. */
+std::vector<std::string>
+residentNames(const Fixture &f, LayerIdx layer)
+{
+    std::vector<std::string> out;
+    for (const WeightTensorId &t : f.store.layerManifest(layer)) {
+        try {
+            f.store.tensor(layer, t.name);
+            out.push_back(t.name);
+        } catch (const PanicError &) {
+        }
+    }
+    return out;
+}
+
+TEST(PagedWeights, LoadDenseMarksOnlyDensePages)
+{
+    Fixture f;
+    f.store.loadDense(LayerIdx(1), f.te);
+    std::vector<std::string> want{"attn_norm", "wq",       "wk",    "wv",
+                                  "wo",        "ffn_norm", "router"};
+    EXPECT_EQ(residentNames(f, LayerIdx(1)), want);
+    EXPECT_THROW(f.store.expert(LayerIdx(1), ExpertIdx(0)), PanicError);
+}
+
+TEST(PagedWeights, LoadExpertMarksOnlyItsThreePages)
+{
+    Fixture f;
+    TransferStats before = f.te.stats();
+    f.store.loadExpert(LayerIdx(0), ExpertIdx(2), f.te);
+    std::vector<std::string> want{"e2.w1", "e2.w3", "e2.w2"};
+    EXPECT_EQ(residentNames(f, LayerIdx(0)), want);
+    const auto &lw = f.weights.layers[0];
+    EXPECT_EQ(f.te.stats().pinnedToGpu - before.pinnedToGpu,
+              (lw.w1[2].numel() + lw.w3[2].numel() + lw.w2[2].numel()) *
+                  sizeof(float));
+
+    ExpertWeights w = f.store.expert(LayerIdx(0), ExpertIdx(2));
+    EXPECT_EQ(std::memcmp(w.w1, lw.w1[2].data(),
+                          lw.w1[2].numel() * sizeof(float)),
+              0);
+    EXPECT_EQ(std::memcmp(w.w3, lw.w3[2].data(),
+                          lw.w3[2].numel() * sizeof(float)),
+              0);
+    EXPECT_EQ(std::memcmp(w.w2, lw.w2[2].data(),
+                          lw.w2[2].numel() * sizeof(float)),
+              0);
+}
+
+TEST(PagedWeights, UnfetchedExpertPanics)
+{
+    Fixture f;
+    f.store.loadDense(LayerIdx(0), f.te);
+    f.store.loadExpert(LayerIdx(0), ExpertIdx(1), f.te);
+    ExpertResolver resolve = f.store.resolver(LayerIdx(0));
+    EXPECT_NO_THROW(resolve(1));
+    EXPECT_THROW(resolve(3), PanicError);
+    // A fetched expert of another layer sharing the slot is stale.
+    f.store.loadExpert(LayerIdx(2), ExpertIdx(1), f.te);
+    EXPECT_THROW(resolve(1), PanicError);
+    EXPECT_THROW(f.store.loadExpert(LayerIdx(0), ExpertIdx(4), f.te),
+                 PanicError);
 }
 
 TEST(PagedWeights, GpuArenaSizedForTwoSlots)
