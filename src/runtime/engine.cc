@@ -5,6 +5,7 @@
 #include <cmath>
 #include <cstring>
 #include <functional>
+#include <thread>
 
 #include "common/logging.hh"
 #include "kernels/attention.hh"
@@ -39,6 +40,13 @@ kvQuantumFor(const EngineConfig &cfg)
 }
 
 } // namespace
+
+std::size_t
+gpuPoolWorkers(std::size_t hostCores, std::size_t cpuAttnThreads)
+{
+    std::size_t spare = std::max<std::size_t>(1, hostCores) - 1;
+    return spare > cpuAttnThreads ? spare - cpuAttnThreads : 0;
+}
 
 void
 EngineConfig::validate() const
@@ -130,6 +138,9 @@ PipelinedEngine::PipelinedEngine(const ModelWeights &weights,
             ") for conflict-free double buffering");
     if (cfg_.cpuAttnThreads > 0)
         attnPool_ = std::make_unique<ThreadPool>(cfg_.cpuAttnThreads);
+    if (std::size_t gpu_workers = gpuPoolWorkers(
+            std::thread::hardware_concurrency(), cfg_.cpuAttnThreads))
+        gpuPool_ = std::make_unique<ThreadPool>(gpu_workers);
 
     h1_ = c.h1;
     qDim_ = c.nq * c.headDim;
@@ -699,10 +710,10 @@ PipelinedEngine::prefillSlots(const std::vector<SlotIdx> &slots)
     ensureAttnScratch(max_prompt + 1);
     if (qkv_ && max_prompt > prefillScratchLen_) {
         prefillScratchLen_ = max_prompt;
-        // One slot per attention-pool worker: the fused prefill
-        // kernel fans KV heads across the pool.
+        // One slot per Gpu-pool worker: the fused prefill kernel
+        // fans KV heads across the pool.
         std::size_t worker_slots =
-            attnPool_ ? attnPool_->maxParallelism() : 1;
+            gpuPool_ ? gpuPool_->maxParallelism() : 1;
         cpuPrefillScratch_.assign(
             worker_slots * gqaQuantPrefillAttnScratchFloats(
                                cfg.nq, cfg.nkv, max_prompt,
@@ -745,12 +756,12 @@ PipelinedEngine::prefillSlots(const std::vector<SlotIdx> &slots)
                 const ModelConfig &c = w_.cfg;
                 // Whole-sequence batched projections instead of
                 // per-token GEMV chains; only the attention/KV-append
-                // walk stays per token (causal order). The attention
-                // pool is idle during prefill (the CPU queue has no
-                // work yet), so the batched GEMMs and the MoE FFN
-                // borrow it. Per-token arithmetic is unchanged, so
-                // tokens stay bit-identical to the reference engine.
-                ThreadPool *pool = attnPool_.get();
+                // walk stays per token (causal order). The batched
+                // GEMMs, the MoE FFN and the fused quant attention run
+                // on the Gpu pool. Per-token arithmetic is unchanged,
+                // so tokens stay bit-identical to the reference
+                // engine.
+                ThreadPool *pool = gpuPool_.get();
                 KvViewStorage view;
                 // Working buffers are engine members, reserved to the
                 // longest prompt in prefillSlots(); only this queue's
@@ -810,10 +821,8 @@ PipelinedEngine::prefillSlots(const std::vector<SlotIdx> &slots)
                             qkv_->append(seqOf(slot), LayerIdx(li),
                                          k_all.data() + t * kvDim_,
                                          v_all.data() + t * kvDim_);
-                        // KV heads fan across the attention pool —
-                        // it idles during prefill otherwise (the CPU
-                        // queue has no work yet) — preserving the
-                        // per-position bit-exact walk.
+                        // KV heads fan across the pool, preserving
+                        // the per-position bit-exact walk.
                         gqaPrefillAttentionQuantFused(
                             q_all.data(), k_all.data(), v_all.data(),
                             len, c.nq,
@@ -920,8 +929,7 @@ PipelinedEngine::prefillSlots(const std::vector<SlotIdx> &slots)
     // Bootstrap: sample each admitted request's first generated token
     // from its prompt's last hidden state. The normed rows pool into
     // ONE lmHead GEMM (bit-identical per row to the m=1 GEMVs this
-    // replaces; the attention pool is idle between prefill layers, so
-    // the vocab-wide GEMM borrows it).
+    // replaces).
     exec_->submit(
         ResourceKind::Gpu, {compute_done[cfg.l - 1]},
         [this, admitted] {
@@ -936,7 +944,7 @@ PipelinedEngine::prefillSlots(const std::vector<SlotIdx> &slots)
             }
             matmulTransposedB(bootNorm_.data(), w_.lmHead.data(),
                               bootLogits_.data(), n, h1_, vocab_,
-                              attnPool_.get());
+                              gpuPool_.get());
             for (std::size_t a = 0; a < n; ++a) {
                 // A faulted sequence's hidden state is garbage (its
                 // prefill was cut short); it retires with Error
@@ -1101,22 +1109,23 @@ PipelinedEngine::runDecodeChains(StepState &st)
                 // Batched QKV projection across the micro-batch (one
                 // GEMM per weight instead of one GEMV per sequence),
                 // then interleave rows into the [q|k|v] offload
-                // layout. No pool here: the GPU queue may run
-                // concurrently with the CPU queue's attention, which
-                // owns attnPool_.
+                // layout.
                 for (std::size_t r = 0; r < n; ++r)
                     rmsNorm(st.xGpu[j].data() + r * h1_,
                             store_.tensor(LayerIdx(i), "attn_norm"),
                             gpuNormB_.data() + r * h1_, h1_);
                 matmulTransposedB(gpuNormB_.data(),
                                   store_.tensor(LayerIdx(i), "wq"),
-                                  gpuQB_.data(), n, h1_, qDim_);
+                                  gpuQB_.data(), n, h1_, qDim_,
+                                  gpuPool_.get());
                 matmulTransposedB(gpuNormB_.data(),
                                   store_.tensor(LayerIdx(i), "wk"),
-                                  gpuKB_.data(), n, h1_, kvDim_);
+                                  gpuKB_.data(), n, h1_, kvDim_,
+                                  gpuPool_.get());
                 matmulTransposedB(gpuNormB_.data(),
                                   store_.tensor(LayerIdx(i), "wv"),
-                                  gpuVB_.data(), n, h1_, kvDim_);
+                                  gpuVB_.data(), n, h1_, kvDim_,
+                                  gpuPool_.get());
                 for (std::size_t r = 0; r < n; ++r) {
                     float *qkv = st.qkvGpu[j].data() + r * qkvDim_;
                     std::memcpy(qkv, gpuQB_.data() + r * qDim_,
@@ -1341,7 +1350,7 @@ PipelinedEngine::postRoute(StepState &st, LayerIdx layer, std::size_t ub)
     // per-token arithmetic matches the reference engine's m=1 calls
     // bit-for-bit.
     matmulTransposedB(st.attnGpu[ub].data(), store_.tensor(layer, "wo"),
-                      gpuProjB_.data(), n, qDim_, h1_);
+                      gpuProjB_.data(), n, qDim_, h1_, gpuPool_.get());
     for (std::size_t r = 0; r < n; ++r) {
         float *x = st.xGpu[ub].data() + r * h1_;
         accumulate(x, gpuProjB_.data() + r * h1_, h1_);
@@ -1349,7 +1358,7 @@ PipelinedEngine::postRoute(StepState &st, LayerIdx layer, std::size_t ub)
                 gpuNormB_.data() + r * h1_, h1_);
     }
     matmulTransposedB(gpuNormB_.data(), store_.tensor(layer, "router"),
-                      gpuRlB_.data(), n, h1_, c.ne);
+                      gpuRlB_.data(), n, h1_, c.ne, gpuPool_.get());
     st.routing.resize(n);
     for (std::size_t r = 0; r < n; ++r)
         st.routing[r] = routeTopK({gpuRlB_.data() + r * c.ne, c.ne}, c.k);
@@ -1361,7 +1370,7 @@ PipelinedEngine::postFfn(StepState &st, LayerIdx layer, std::size_t ub)
     const ModelConfig &c = w_.cfg;
     std::size_t n = st.ubSize(ub);
     moeFfnForward(gpuNormB_.data(), st.routing, store_.resolver(layer), n,
-                  h1_, c.h2, gpuFfnB_.data());
+                  h1_, c.h2, gpuFfnB_.data(), gpuPool_.get());
     for (std::size_t r = 0; r < n; ++r)
         accumulate(st.xGpu[ub].data() + r * h1_,
                    gpuFfnB_.data() + r * h1_, h1_);
@@ -1370,14 +1379,12 @@ PipelinedEngine::postFfn(StepState &st, LayerIdx layer, std::size_t ub)
     // Last layer: batched lmHead sampling — one micro-batch-wide GEMM
     // instead of per-row m=1 GEMVs. The GEMM's per-row arithmetic is
     // m-independent, so every row's logits (and its argmax token) are
-    // bit-identical to the per-row calls this replaces. No pool: the
-    // GPU queue may run concurrently with CPU attention, which owns
-    // attnPool_.
+    // bit-identical to the per-row calls this replaces.
     for (std::size_t r = 0; r < n; ++r)
         rmsNorm(st.xGpu[ub].data() + r * h1_, w_.finalNorm.data(),
                 gpuNormB_.data() + r * h1_, h1_);
     matmulTransposedB(gpuNormB_.data(), w_.lmHead.data(),
-                      gpuLogitsB_.data(), n, h1_, vocab_);
+                      gpuLogitsB_.data(), n, h1_, vocab_, gpuPool_.get());
     for (std::size_t r = 0; r < n; ++r) {
         SlotIdx slot = st.rowSlot[st.ubStart[ub] + r];
         int next = static_cast<int>(

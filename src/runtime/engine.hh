@@ -32,6 +32,10 @@
  * prefill stream whole layers. Tokens are unchanged: the same weights
  * are read.
  *
+ * The GPU queue's kernels (GEMMs, MoE FFN, lmHead, the prefill task)
+ * fan out over a kernel pool sized from the host cores left after
+ * the queue thread and the CPU attention workers (gpuPoolWorkers).
+ *
  * Functional contract: identical greedy tokens to ReferenceEngine
  * per request for identical weights and KV geometry, regardless of
  * admission schedule or co-batching (tested in tests/runtime).
@@ -78,7 +82,9 @@ struct EngineConfig
     std::size_t maxConcurrency = 16;
     /** Worker threads for the CPU attention kernel (the paper's
      *  24-core MKL kernel); 0 = run attention on the CPU queue
-     *  thread alone. */
+     *  thread alone. They come out of the same host core budget as
+     *  the Gpu queue's kernel pool: every attention thread is one
+     *  fewer GPU-kernel worker (see gpuPoolWorkers). */
     std::size_t cpuAttnThreads = 0;
     /** Rounds the admission queue's head may be passed over before
      *  younger requests are held back for it — and, with active
@@ -112,6 +118,17 @@ struct EngineConfig
      *  clear message, not deep inside the pipeline. */
     void validate() const;
 };
+
+/**
+ * Worker count of the engine's Gpu-queue kernel pool on a host with
+ * @p hostCores cores (std::thread::hardware_concurrency(); 0, "not
+ * computable", counts as one core): the cores left after the Gpu
+ * queue thread itself and @p cpuAttnThreads attention workers,
+ * floored at 0. 0 means no pool — the Gpu queue runs its kernels
+ * serially.
+ */
+std::size_t gpuPoolWorkers(std::size_t hostCores,
+                           std::size_t cpuAttnThreads);
 
 /**
  * CGOPipe engine. The model's layer count must be a multiple of the
@@ -241,7 +258,14 @@ class PipelinedEngine : public Engine
     PageArena pinned_;
     TransferEngine te_;
     PagedWeightStore store_;
+    /** CPU attention workers; dispatched only from the Cpu queue
+     *  thread. */
     std::unique_ptr<ThreadPool> attnPool_;
+    /** Kernel workers for the emulated GPU (decode GEMMs, MoE FFN,
+     *  lmHead and the whole prefill task); dispatched only from the
+     *  Gpu queue thread, so neither pool ever has two dispatchers.
+     *  Null when gpuPoolWorkers() gives 0. */
+    std::unique_ptr<ThreadPool> gpuPool_;
     std::unique_ptr<KvCacheManager> kv_;
     std::unique_ptr<QuantizedKvCache> qkv_;  ///< when cfg_.kvQuant
     /** Prefix tree over the active cache's page table (when

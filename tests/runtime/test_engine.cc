@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <optional>
 #include <string>
+#include <thread>
 #include <tuple>
 
 #include "common/rng.hh"
@@ -391,6 +393,85 @@ TEST(GatedRounds, LoneDecodeRoundStreamsDensePlusTwoExperts)
     ref.submit(req);
     EXPECT_EQ(rest[0].tokens, ref.drain()[0].tokens);
 }
+
+// ---------------------------------------------------------------------
+// The Gpu-queue kernel pool: sized from the host's cores, bit-identical
+// to the serial kernels.
+// ---------------------------------------------------------------------
+
+TEST(GpuPoolWorkers, CoresLeftAfterGpuQueueAndAttentionThreads)
+{
+    EXPECT_EQ(gpuPoolWorkers(0, 0), 0u) << "unknown core count = 1";
+    EXPECT_EQ(gpuPoolWorkers(1, 0), 0u);
+    EXPECT_EQ(gpuPoolWorkers(4, 0), 3u);
+    EXPECT_EQ(gpuPoolWorkers(4, 3), 0u);
+    EXPECT_EQ(gpuPoolWorkers(4, 8), 0u) << "no unsigned underflow";
+}
+
+/** KV mode: 0 float / 1 int8 / 2 int4. */
+class BothPoolsLive : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(BothPoolsLive, MatchReference)
+{
+    // cpuAttnThreads = 1 leaves gpuPoolWorkers(cores, 1) >= 1 on a
+    // host of 3 or more cores, so the attention pool (Cpu queue) and
+    // the kernel pool (Gpu queue) dispatch concurrently.
+    if (std::thread::hardware_concurrency() < 3)
+        GTEST_SKIP() << "needs 3 cores for both pools";
+    std::optional<QuantKind> quant = quantOf(GetParam());
+    ModelWeights w = ModelWeights::random(top2of8(), 53);
+    // 16+ token prompts take the row-split prefill GEMMs and the
+    // pooled MoE FFN; 10 rows decode as 3 micro-batches until the
+    // short requests retire, then the long one decodes alone in
+    // router-gated rounds (1 * k < ne).
+    auto prompts = makePrompts(w.cfg, 10, 16, 24, 71);
+    EngineConfig ec;
+    ec.microBatch = 4;
+    ec.kvPageTokens = 4;
+    ec.kvQuant = quant;
+    ec.cpuAttnThreads = 1;
+    PipelinedEngine eng(w, ec);
+    ReferenceEngine ref(w, quant, 4);
+    for (std::size_t i = 0; i < prompts.size(); ++i) {
+        ServeRequest req;
+        req.id = static_cast<std::int64_t>(i);
+        req.prompt = prompts[i];
+        req.maxNewTokens = i == 0 ? 8 : 4;
+        eng.submit(req);
+        ref.submit(req);
+    }
+    const LayerWeights &lw = w.layers[0];
+    std::uint64_t full_round =
+        w.cfg.l * (denseBytes(lw) + w.cfg.ne * expertBytes(lw));
+    std::map<std::int64_t, std::vector<int>> got;
+    std::size_t gated_rounds = 0;
+    while (eng.pendingRequests() + eng.activeRequests() > 0) {
+        bool lone = eng.pendingRequests() == 0 &&
+                    eng.activeRequests() == 1;
+        std::uint64_t before = eng.transferStats().pinnedToGpu;
+        for (RequestOutput &out : eng.step())
+            got[out.id] = std::move(out.tokens);
+        if (lone && eng.transferStats().pinnedToGpu - before < full_round)
+            ++gated_rounds;
+    }
+    EXPECT_GE(gated_rounds, 1u);
+    auto expect = ref.drain();
+    ASSERT_EQ(got.size(), expect.size());
+    for (const RequestOutput &e : expect)
+        EXPECT_EQ(got[e.id], e.tokens) << "request " << e.id;
+}
+
+std::string
+kvModeName(const ::testing::TestParamInfo<int> &info)
+{
+    static const char *kModes[] = {"float", "int8", "int4"};
+    return kModes[info.param];
+}
+
+INSTANTIATE_TEST_SUITE_P(KvModes, BothPoolsLive,
+                         ::testing::Values(0, 1, 2), kvModeName);
 
 } // namespace
 } // namespace moelight
