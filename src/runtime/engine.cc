@@ -1020,23 +1020,23 @@ PipelinedEngine::decodeActive(std::vector<RequestOutput> &finished)
     // only its own compute would overlap a full-layer stream anyway.
     st.gated = st.numUbs == 1 && n_act * w_.cfg.k < w_.cfg.ne;
 
-    // Preload layers 0 and 1 (only their dense pages in a gated
-    // round); the prior round (or the admission prefill) synced, so
-    // the weight slots are free. Readiness is the task's own
-    // completion event — the worker signals it on every path, error
-    // and injected-fault included, so a failed load can never leave
-    // dependents waiting (a hand-signaled event inside the body
-    // would: an exec.task fault kills the body before its first
-    // statement). The error itself surfaces at sync().
-    for (std::size_t t = 0; t < std::min<std::size_t>(2, layers);
-         ++t)
-        st.weightsReady[t] = exec_->submit(
-            ResourceKind::HtoD, {}, [this, t, gated = st.gated] {
-                if (gated)
-                    store_.loadDense(LayerIdx(t), te_);
-                else
-                    store_.loadLayer(LayerIdx(t), te_);
-            });
+    // Preload layer 0 (only its dense pages in a gated round); the
+    // prior round (or the admission prefill) synced, so the weight
+    // slots are free, and when the prior round's wrap-around chunk
+    // already streamed layer 0 every page is resident and the load
+    // moves nothing. Readiness is the task's own completion event —
+    // the worker signals it on every path, error and injected-fault
+    // included, so a failed load can never leave dependents waiting
+    // (a hand-signaled event inside the body would: an exec.task
+    // fault kills the body before its first statement). The error
+    // itself surfaces at sync().
+    st.weightsReady[0] = exec_->submit(
+        ResourceKind::HtoD, {}, [this, gated = st.gated] {
+            if (gated)
+                store_.loadDense(LayerIdx(0), te_);
+            else
+                store_.loadLayer(LayerIdx(0), te_);
+        });
 
     // Per-slot token counts before the round: a slot retired on a
     // mid-round fault must not report the garbage token the round's
@@ -1049,8 +1049,9 @@ PipelinedEngine::decodeActive(std::vector<RequestOutput> &finished)
     // reach sync() via the executor's firstError_. Such a fault
     // leaves this round's pipeline state (hidden buffers, weight
     // slots) unreliable for every participant, so the whole round
-    // retires with Error; the engine itself stays serviceable (the
-    // next round preloads weights afresh). Per-slot KV faults caught
+    // retires with Error; the engine itself stays serviceable (a
+    // failed weight load leaves its page non-resident, so the next
+    // round or prefill copies it again). Per-slot KV faults caught
     // inside the offload task stay request-scope.
     std::string roundError;
     try {
@@ -1224,14 +1225,11 @@ PipelinedEngine::runDecodeChains(StepState &st)
 
         // Interleaved weight pages for the next layer. Chunk j covers
         // an equal share of the layer's pages (its dense pages only
-        // in a gated round). Layers 0 and 1 were preloaded for this
-        // round, and the round ends after the last layer (admission
-        // may change the batch before the next one), so the
-        // wrap-around tail is skipped.
+        // in a gated round). The last layer streams the next round's
+        // layer 0, so the link never idles across the round boundary;
+        // that round's preload then finds its pages resident.
         auto stream_chunk = [&] {
-            if (i == 0 || i == layers - 1)
-                return;
-            std::size_t target = i + 1;
+            std::size_t target = (i + 1) % layers;
             std::size_t pages = st.gated ? PagedWeightStore::kDensePages
                                          : store_.pagesPerLayer();
             std::size_t lo = pages * j / ubs;

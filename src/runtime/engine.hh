@@ -32,6 +32,15 @@
  * prefill stream whole layers. Tokens are unchanged: the same weights
  * are read.
  *
+ * The weight stream runs like sched/'s global-layer stream: each
+ * layer i streams layer (i + 1) % l into the other slot under its own
+ * compute, so the last layer streams the next round's layer 0 and
+ * the link never idles at the round boundary. A round preloads only
+ * layer 0, and loads skip pages a slot already holds (paged_weights
+ * .hh): that preload is free after a round that streamed it, as is
+ * the admission prefill's layer 0, and a gated round reuses whatever
+ * routed-expert pages the slots still hold.
+ *
  * The GPU queue's kernels (GEMMs, MoE FFN, lmHead, the prefill task)
  * fan out over a kernel pool sized from the host cores left after
  * the queue thread and the CPU attention workers (gpuPoolWorkers).

@@ -122,9 +122,16 @@ PagedWeightStore::loadPage(LayerIdx layer, std::size_t pageIdx,
     panicIf(layer.value() >= weights_.layers.size(),
             "layer out of range");
     panicIf(pageIdx >= tensorCount_, "page index out of range");
+    PageEntry &entry = table_[slotOf(layer)][pageIdx];
+    // Weights are immutable, so a page already holding this layer's
+    // copy is as good as a fresh one: no bytes, no load check.
+    if (entry.residentLayer == static_cast<int>(layer.value()))
+        return;
+    // Invalidate before anything can fail: a copy that dies midway
+    // leaves the page torn, and it must then read as non-resident.
+    entry.residentLayer = -1;
     FaultInjector::check("weights.load");
     const Tensor &src = cpuTensor(weights_.layers[layer.value()], pageIdx);
-    PageEntry &entry = table_[slotOf(layer)][pageIdx];
     try {
         te.stageToGpu(src.data(), gpu_.page(entry.page), src.numel());
     } catch (const EngineError &) {

@@ -20,6 +20,14 @@
  * part ahead (loadDense) and fetch only the routed experts after the
  * router runs (loadExpert); the residency check in tensor() and
  * expert() still panics on any page that was not fetched.
+ *
+ * Residency: every page records the layer whose copy it holds, and a
+ * load of a page that already holds that layer is skipped — no bytes
+ * move and the weights.load check is not consulted. This is sound
+ * because weights are immutable for the store's life. A real copy
+ * first marks the page non-resident and marks it resident again only
+ * once the copy completed, so a failed load can never leave a torn
+ * page that reads as resident; the next load of it copies again.
  */
 
 #ifndef MOELIGHT_RUNTIME_PAGED_WEIGHTS_HH
@@ -74,7 +82,8 @@ class PagedWeightStore
 
     /**
      * Transfer page @p pageIdx (tensor index within the manifest) of
-     * @p layer into its slot via @p te. Called from the HtoD queue.
+     * @p layer into its slot via @p te, unless the slot's page already
+     * holds it (see the file comment). Called from the HtoD queue.
      */
     void loadPage(LayerIdx layer, std::size_t pageIdx,
                   TransferEngine &te);

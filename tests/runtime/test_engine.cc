@@ -334,24 +334,35 @@ TEST_P(GatedRounds, MatchReferenceAndStreamOnlyRoutedExperts)
     for (std::size_t s = 0; s < got.size(); ++s)
         EXPECT_EQ(got[s].tokens, expect[s].tokens) << "seq " << s;
 
-    // The admission prefill and the gen - 1 decode rounds each stream
-    // every layer; a gated decode round streams the dense pages plus
-    // at most rows * k experts per layer instead.
+    // The admission prefill streams every layer, leaving layers l - 2
+    // and l - 1 in the two weight slots. Every decode round then
+    // streams layers 1 .. l - 1 and, under its last layer, the next
+    // round's layer 0; only the first round's layer-0 preload copies
+    // too, because the prefill left layer l - 2 in slot 0.
     const LayerWeights &lw = w.layers[0];
     std::uint64_t layers = w.cfg.l;
     std::uint64_t full =
         layers * (denseBytes(lw) + w.cfg.ne * expertBytes(lw));
     std::uint64_t streamed = eng.transferStats().pinnedToGpu;
     std::uint64_t routed = static_cast<std::uint64_t>(rows) * w.cfg.k;
+    std::uint64_t rounds = gen - 1;
     if (routed < w.cfg.ne) {
-        std::uint64_t gated_max =
-            layers * (denseBytes(lw) + routed * expertBytes(lw));
-        EXPECT_LE(streamed, full + (gen - 1) * gated_max);
-        EXPECT_GE(streamed, full + (gen - 1) * layers *
-                                       (denseBytes(lw) +
-                                        w.cfg.k * expertBytes(lw)));
+        // A gated round streams each layer's dense pages (the slots
+        // alternate layers, so these always copy), plus at most rows
+        // * k routed experts per layer: fewer when a slot still holds
+        // some of them from an earlier round. Round 1's layers 0 and
+        // 1 find only the prefill's layers 2 and 3 in the slots, so
+        // each copies at least k experts.
+        std::uint64_t dense = (rounds * layers + 1) * denseBytes(lw);
+        ASSERT_GE(streamed, full + dense);
+        std::uint64_t experts = streamed - full - dense;
+        EXPECT_EQ(experts % expertBytes(lw), 0u);
+        EXPECT_LE(experts, rounds * layers * routed * expertBytes(lw));
+        EXPECT_GE(experts, 2 * w.cfg.k * expertBytes(lw));
     } else {
-        EXPECT_EQ(streamed, gen * full) << "4 rows cover all 8 experts";
+        EXPECT_EQ(streamed, gen * full + full / layers)
+            << "4 rows cover all 8 experts: every round streams l "
+               "layers, plus the first round's layer-0 preload";
     }
 }
 
@@ -384,15 +395,108 @@ TEST(GatedRounds, LoneDecodeRoundStreamsDensePlusTwoExperts)
     std::uint64_t before = eng.transferStats().pinnedToGpu;
     ASSERT_TRUE(eng.step().empty());  // one decode round
     std::uint64_t delta = eng.transferStats().pinnedToGpu - before;
+    // The previous round's last layer streamed this round's layer-0
+    // dense pages, so the preload copies nothing; this round streams
+    // layers 1 .. l - 1 and the next round's layer 0: l layers of
+    // dense pages. Each layer fetches its one row's k = 2 routed
+    // experts, minus those its slot still holds from an earlier
+    // round.
     const LayerWeights &lw = w.layers[0];
-    EXPECT_EQ(delta,
-              w.cfg.l * (denseBytes(lw) + 2 * expertBytes(lw)));
+    std::uint64_t dense = w.cfg.l * denseBytes(lw);
+    ASSERT_GE(delta, dense);
+    EXPECT_EQ((delta - dense) % expertBytes(lw), 0u);
+    EXPECT_LE(delta - dense, w.cfg.l * 2 * expertBytes(lw));
     auto rest = eng.drain();
     ASSERT_EQ(rest.size(), 1u);
     ReferenceEngine ref(w);
     ref.submit(req);
     EXPECT_EQ(rest[0].tokens, ref.drain()[0].tokens);
 }
+
+std::string
+kvModeName(const ::testing::TestParamInfo<int> &info)
+{
+    static const char *kModes[] = {"float", "int8", "int4"};
+    return kModes[info.param];
+}
+
+/** KV mode: 0 float / 1 int8 / 2 int4. */
+class ShapeTransitions : public ::testing::TestWithParam<int>
+{
+};
+
+TEST_P(ShapeTransitions, MatchReferenceAndSteadyFullRoundsStreamLLayers)
+{
+    // Multi-micro-batch rounds, then router-gated rounds once only
+    // the long request is left, then an admission, then full rounds
+    // again: whatever each shape left in the weight slots, tokens stay
+    // bit-identical, and a full round that follows a full round
+    // streams exactly l layers (the previous round streamed its
+    // layer 0).
+    std::optional<QuantKind> quant = quantOf(GetParam());
+    ModelWeights w = ModelWeights::random(top2of8(), 54);
+    EngineConfig ec;
+    ec.microBatch = 2;  // 3+ rows: several micro-batches
+    ec.kvPageTokens = 4;
+    ec.kvQuant = quant;
+    PipelinedEngine eng(w, ec);
+    ReferenceEngine ref(w, quant, 4);
+    auto prompts = makePrompts(w.cfg, 9, 3, 9, 81);
+    auto serve = [&](std::size_t i, int maxNew) {
+        ServeRequest req;
+        req.id = static_cast<std::int64_t>(i);
+        req.prompt = prompts[i];
+        req.maxNewTokens = maxNew;
+        eng.submit(req);
+        ref.submit(req);
+    };
+    // Wave 1: one long request and four that retire after 2 rounds.
+    serve(0, 9);
+    for (std::size_t i = 1; i < 5; ++i)
+        serve(i, 3);
+
+    const LayerWeights &lw = w.layers[0];
+    std::uint64_t full_round =
+        w.cfg.l * (denseBytes(lw) + w.cfg.ne * expertBytes(lw));
+    std::map<std::int64_t, std::vector<int>> got;
+    std::size_t gated_rounds = 0, steady_full_rounds = 0;
+    bool wave2 = false, prev_full = false;
+    while (eng.pendingRequests() + eng.activeRequests() > 0) {
+        if (!wave2 && gated_rounds == 2) {
+            // Wave 2: an admission into a gated-round slot state.
+            for (std::size_t i = 5; i < prompts.size(); ++i)
+                serve(i, 4);
+            wave2 = true;
+        }
+        bool admits = eng.pendingRequests() > 0;
+        std::uint64_t before = eng.transferStats().pinnedToGpu;
+        std::vector<RequestOutput> outs = eng.step();
+        std::uint64_t delta = eng.transferStats().pinnedToGpu - before;
+        // Every request decodes in the round of the step that admits
+        // it (maxNewTokens >= 3), so the round's rows are the
+        // survivors plus the step's retirees.
+        std::size_t rows = eng.activeRequests() + outs.size();
+        for (RequestOutput &out : outs)
+            got[out.id] = std::move(out.tokens);
+        bool gated = rows <= ec.microBatch && rows * w.cfg.k < w.cfg.ne;
+        if (gated) {
+            ++gated_rounds;
+        } else if (prev_full && !admits) {
+            ++steady_full_rounds;
+            EXPECT_EQ(delta, full_round) << rows << " rows";
+        }
+        prev_full = !gated;
+    }
+    EXPECT_TRUE(wave2);
+    EXPECT_GE(steady_full_rounds, 3u);
+    auto expect = ref.drain();
+    ASSERT_EQ(got.size(), expect.size());
+    for (const RequestOutput &e : expect)
+        EXPECT_EQ(got[e.id], e.tokens) << "request " << e.id;
+}
+
+INSTANTIATE_TEST_SUITE_P(KvModes, ShapeTransitions,
+                         ::testing::Values(0, 1, 2), kvModeName);
 
 // ---------------------------------------------------------------------
 // The Gpu-queue kernel pool: sized from the host's cores, bit-identical
@@ -461,13 +565,6 @@ TEST_P(BothPoolsLive, MatchReference)
     ASSERT_EQ(got.size(), expect.size());
     for (const RequestOutput &e : expect)
         EXPECT_EQ(got[e.id], e.tokens) << "request " << e.id;
-}
-
-std::string
-kvModeName(const ::testing::TestParamInfo<int> &info)
-{
-    static const char *kModes[] = {"float", "int8", "int4"};
-    return kModes[info.param];
 }
 
 INSTANTIATE_TEST_SUITE_P(KvModes, BothPoolsLive,

@@ -249,15 +249,32 @@ INSTANTIATE_TEST_SUITE_P(
         FaultCase{"exec.task", QuantKind::Int4, 80, "exec_int4"},
         // Top-2-of-8 routing: with microBatch 2, wave 1's budgets
         // (5..8 tokens) leave 4, 4, 4, 4, 3 rows (two micro-batches,
-        // whole layers: 4 x 31 pages a round) for decode rounds 1-5,
-        // then two rows in one micro-batch: round 6 is router-gated.
-        // Prefill and rounds 1-5 take 6 x 124 = 744 checks, round 6's
-        // dense preloads of layers 0 and 1 take 14, so check 759 is
-        // the first page of layer 0's routed-expert fetch. Both rows
-        // of that round retire; wave 2 (two rows) is served by gated
-        // rounds afterwards.
-        FaultCase{"weights.load", std::nullopt, 759, "weights_gated",
-                  8, 2}),
+        // whole layers of 31 pages) for decode rounds 1-5, then two
+        // rows in one micro-batch: round 6 is router-gated. Only
+        // pages a slot does not already hold are copied and checked.
+        // The prefill copies 4 x 31 = 124 pages, leaving layers 2
+        // and 3 in the slots; round 1 copies its layer-0 preload and
+        // layers 1, 2, 3 and (wrap-around) 0: 5 x 31 = 155. Rounds
+        // 2-5 find layer 0 resident and copy 4 x 31 = 124 each:
+        // 124 + 155 + 4 x 124 = 775 checks. In round 6, layer 0 is
+        // wholly resident (its preload and routed-expert fetch copy
+        // nothing); the dense pages of layers 1 and 2 take 14
+        // checks, so check 790 is the first page of layer 1's
+        // routed-expert fetch. Both rows of that round retire; wave
+        // 2 (two rows) is served by gated rounds afterwards.
+        FaultCase{"weights.load", std::nullopt, 790, "weights_gated",
+                  8, 2},
+        // Same schedule: round 5 (3 rows) copies layers 1, 2 and 3 in
+        // checks 652-744, so checks 745-775 are its wrap-around chunk,
+        // which streams round 6's layer 0. Check 746 is that chunk's
+        // wq page (its first page, attn_norm, is all ones in every
+        // layer, so a stale copy of it would go unseen). The fault
+        // is round scope for round 5: its three rows retire (the
+        // fourth request finished in round 4), and wave 2 is
+        // bit-identical because the failed page, left non-resident,
+        // is copied again.
+        FaultCase{"weights.load", std::nullopt, 746, "weights_wrap",
+                  8, 3}),
     [](const ::testing::TestParamInfo<FaultCase> &info) {
         return info.param.tag;
     });

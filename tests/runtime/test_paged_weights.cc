@@ -5,7 +5,9 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "runtime/fault_injection.hh"
 #include "runtime/paged_weights.hh"
+#include "runtime/status.hh"
 
 namespace moelight {
 namespace {
@@ -167,6 +169,98 @@ TEST(PagedWeights, UnfetchedExpertPanics)
     EXPECT_THROW(resolve(1), PanicError);
     EXPECT_THROW(f.store.loadExpert(LayerIdx(0), ExpertIdx(4), f.te),
                  PanicError);
+}
+
+// ---------------------------------------------------------------------
+// Residency: a load of a page that already holds its layer is skipped.
+// ---------------------------------------------------------------------
+
+TEST(PagedWeights, ReloadingResidentPageMovesNothingAndSkipsLoadCheck)
+{
+    Fixture f;
+    f.store.loadLayer(LayerIdx(0), f.te);
+    std::uint64_t before = f.te.stats().pinnedToGpu;
+    {
+        // Armed on the very next check: a real copy would trip it.
+        ScopedFault fault("weights.load", 1);
+        EXPECT_NO_THROW(f.store.loadLayer(LayerIdx(0), f.te));
+        EXPECT_NO_THROW(f.store.loadDense(LayerIdx(0), f.te));
+        EXPECT_NO_THROW(f.store.loadExpert(LayerIdx(0), ExpertIdx(3),
+                                           f.te));
+        EXPECT_EQ(fault.hits(), 0u);
+    }
+    EXPECT_EQ(f.te.stats().pinnedToGpu, before);
+    const Tensor &src = f.weights.layers[0].wq;
+    EXPECT_EQ(std::memcmp(f.store.tensor(LayerIdx(0), "wq"), src.data(),
+                          src.numel() * sizeof(float)),
+              0);
+}
+
+TEST(PagedWeights, PageOverwrittenByAnotherLayerCopiesAgain)
+{
+    Fixture f;
+    f.store.loadPage(LayerIdx(0), 1, f.te);  // wq
+    f.store.loadPage(LayerIdx(2), 1, f.te);  // same slot, same page
+    std::uint64_t before = f.te.stats().pinnedToGpu;
+    f.store.loadPage(LayerIdx(0), 1, f.te);
+    const Tensor &src = f.weights.layers[0].wq;
+    EXPECT_EQ(f.te.stats().pinnedToGpu - before,
+              src.numel() * sizeof(float));
+    EXPECT_EQ(std::memcmp(f.store.tensor(LayerIdx(0), "wq"), src.data(),
+                          src.numel() * sizeof(float)),
+              0);
+    EXPECT_THROW(f.store.tensor(LayerIdx(2), "wq"), PanicError);
+}
+
+TEST(PagedWeights, InjectedLoadFaultLeavesPageNonResidentAndRetryCopies)
+{
+    Fixture f;
+    f.store.loadLayer(LayerIdx(0), f.te);
+    std::size_t e1w1 = PagedWeightStore::kDensePages +
+                       PagedWeightStore::kPagesPerExpert;
+    {
+        ScopedFault fault("weights.load", 1);
+        EXPECT_THROW(f.store.loadPage(LayerIdx(2), e1w1, f.te),
+                     EngineError);
+        EXPECT_EQ(fault.hits(), 1u);
+    }
+    // Neither the incoming layer nor the page's former occupant may
+    // read it now.
+    EXPECT_THROW(f.store.expert(LayerIdx(2), ExpertIdx(1)), PanicError);
+    EXPECT_THROW(f.store.expert(LayerIdx(0), ExpertIdx(1)), PanicError);
+    EXPECT_THROW(f.store.tensor(LayerIdx(0), "e1.w1"), PanicError);
+    EXPECT_NO_THROW(f.store.tensor(LayerIdx(0), "e1.w3"));
+
+    std::uint64_t before = f.te.stats().pinnedToGpu;
+    f.store.loadPage(LayerIdx(2), e1w1, f.te);
+    const Tensor &src = f.weights.layers[2].w1[1];
+    EXPECT_EQ(f.te.stats().pinnedToGpu - before,
+              src.numel() * sizeof(float));
+    EXPECT_EQ(std::memcmp(f.store.tensor(LayerIdx(2), "e1.w1"),
+                          src.data(), src.numel() * sizeof(float)),
+              0);
+}
+
+TEST(PagedWeights, FailedStagingCopyLeavesPageNonResident)
+{
+    // A copy that fails inside the transfer (here: the pinned staging
+    // ring is dry) may have torn the page, so it must not read as
+    // resident for either layer, and the retry must copy.
+    ModelWeights weights = ModelWeights::random(tinyMixtral(), 78);
+    PageArena pinned{"pinned", 64 * 128, 1};
+    TransferEngine te{pinned};
+    PagedWeightStore store{weights, pinned, 2};
+    store.loadLayer(LayerIdx(1), te);
+    PageId held = pinned.allocate();
+    EXPECT_THROW(store.loadPage(LayerIdx(3), 1, te), EngineError);
+    EXPECT_THROW(store.tensor(LayerIdx(3), "wq"), PanicError);
+    EXPECT_THROW(store.tensor(LayerIdx(1), "wq"), PanicError);
+    pinned.release(held);
+    std::uint64_t before = te.stats().pinnedToGpu;
+    store.loadPage(LayerIdx(1), 1, te);
+    EXPECT_EQ(te.stats().pinnedToGpu - before,
+              weights.layers[1].wq.numel() * sizeof(float));
+    EXPECT_NO_THROW(store.tensor(LayerIdx(1), "wq"));
 }
 
 TEST(PagedWeights, GpuArenaSizedForTwoSlots)
