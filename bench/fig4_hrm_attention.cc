@@ -30,7 +30,7 @@
 #include "hrm/hrm.hh"
 #include "kernels/quant.hh"
 #include "model/op_cost.hh"
-#include "runtime/quant_kv_cache.hh"
+#include "runtime/kv_cache.hh"
 
 using namespace moelight;
 
@@ -52,7 +52,7 @@ measureQuantAttention(bench::BenchJson &json, Table &t, QuantKind kind,
     mc.nkv = nkv;
     mc.headDim = hd;
 
-    QuantizedKvCache cache(mc, 1, page_tokens, kind);
+    KvCache cache(mc, 1, page_tokens, kind);
     Rng rng(17);
     std::vector<float> tok(nkv * hd);
     for (std::size_t i = 0; i < ctx; ++i) {
@@ -142,7 +142,7 @@ measureQuantPrefill(bench::BenchJson &json, Table &t, QuantKind kind,
     for (auto *buf : {&k, &v, &q})
         for (auto &x : *buf)
             x = static_cast<float>(rng.uniform(-1, 1));
-    QuantizedKvCache cache(mc, 1, page_tokens, kind);
+    KvCache cache(mc, 1, page_tokens, kind);
     for (std::size_t i = 0; i < len; ++i)
         cache.append(SeqId(0), LayerIdx(0), k.data() + i * row, v.data() + i * row);
     QuantKvView view = cache.makeQuantView(SeqId(0), LayerIdx(0));

@@ -108,7 +108,7 @@ main()
               << (engine.kvUsedPages() == 0 ? "yes" : "NO") << "\n";
     TransferStats ts = engine.transferStats();
     std::cout << "transfer bytes: weights=" << ts.hostToPinned
-              << " qkv_offload=" << ts.gpuToHost
+              << " offload_qkv=" << ts.gpuToHost
               << " hidden_load=" << ts.hostToGpu << "\n";
     return 0;
 }

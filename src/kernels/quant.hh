@@ -104,7 +104,7 @@ class QuantizedBuffer
  * one quant group never straddling a token-head row), every page full
  * except possibly the last, plus an optional trailing float "open"
  * page for tokens appended since the last page closed — exactly the
- * steady state QuantizedKvCache holds, referenced without copying.
+ * steady state a quantized KvCache holds, referenced without copying.
  * Pages are referenced by pointer (like KvView's float pages) because
  * a sequence sharing a cached prefix holds scattered, not contiguous,
  * buffers.

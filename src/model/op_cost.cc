@@ -48,10 +48,10 @@ preAttnDecodeCost(const ModelConfig &m, std::size_t mu)
 {
     OpCost c;
     double tokens = static_cast<double>(mu);
-    double qkv_out = static_cast<double>(m.nq + 2 * m.nkv) * m.headDim;
-    c.flops = 2.0 * tokens * m.h1 * qkv_out  // QKV projection
+    double out_qkv = static_cast<double>(m.nq + 2 * m.nkv) * m.headDim;
+    c.flops = 2.0 * tokens * m.h1 * out_qkv  // QKV projection
               + 4.0 * tokens * m.h1;         // RMSNorm (approx)
-    c.weightBytes = static_cast<double>(m.h1) * qkv_out * m.weightByte();
+    c.weightBytes = static_cast<double>(m.h1) * out_qkv * m.weightByte();
     c.actBytes = tokens * (hiddenBytesPerToken(m) + qkvBytesPerToken(m));
     return c;
 }
@@ -103,10 +103,10 @@ layerPrefillCost(const ModelConfig &m, double tokens, double avgSeq)
     fatalIf(tokens <= 0.0 || avgSeq <= 0.0,
             "prefill tokens and sequence length must be positive");
     OpCost c;
-    double qkv_out = static_cast<double>(m.nq + 2 * m.nkv) * m.headDim;
+    double out_qkv = static_cast<double>(m.nq + 2 * m.nkv) * m.headDim;
     double o_in = static_cast<double>(m.nq) * m.headDim;
     // Projections and FFN are linear in total tokens.
-    c.flops = 2.0 * tokens * m.h1 * qkv_out        // QKV
+    c.flops = 2.0 * tokens * m.h1 * out_qkv        // QKV
               + 2.0 * tokens * o_in * m.h1         // O
               + 2.0 * tokens * m.h1 * m.ne         // router
               + 6.0 * tokens * m.k * m.h1 * m.h2;  // experts

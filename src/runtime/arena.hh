@@ -1,10 +1,10 @@
 /**
  * @file
- * Fixed-capacity page arena used for the runtime's three memory
- * spaces (CPU, pinned staging, "GPU" device memory — all host RAM in
- * this reproduction, but kept in distinct pools with explicit
- * capacity accounting so the memory-management code paths of
- * Appendix A.1 are exercised for real).
+ * Fixed-capacity page arena used for the runtime's device-side memory
+ * spaces (pinned staging, "GPU" weight slots — host RAM in this
+ * reproduction, but kept in distinct pools with explicit capacity
+ * accounting so the memory-management code paths of Appendix A.1 are
+ * exercised for real). CPU KV pages live in KvCache (kv_cache.hh).
  */
 
 #ifndef MOELIGHT_RUNTIME_ARENA_HH
@@ -32,12 +32,11 @@ inline constexpr PageId kInvalidPage{-1};
  * real device OOM rather than silently growing.
  *
  * Thread-safe bookkeeping: allocate/release/page may be called from
- * different executor workers concurrently (KV appends on the DtoH/Gpu
- * queues allocate while the Cpu attention worker materializes views),
- * so the free list and in-use bitmap are guarded by an internal
- * mutex. Page *contents* are not: each page has exactly one writer by
- * construction (pages belong to one sequence), so data access stays
- * lock-free.
+ * different executor workers concurrently (staging copies on the HtoD
+ * and DtoH queues share the pinned ring), so the free list and in-use
+ * bitmap are guarded by an internal mutex. Page *contents* are not:
+ * each page has one writer at a time, ordered by the executor's
+ * events, so data access stays lock-free.
  */
 class PageArena
 {

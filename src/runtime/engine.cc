@@ -30,15 +30,6 @@ maxTensorFloats(const ModelConfig &cfg)
     return mx;
 }
 
-/** KV allocation granularity for admission accounting: the float
- *  pool allocates page-granular per (sequence, layer) stream; the
- *  quant cache accounts exact tokens. */
-std::size_t
-kvQuantumFor(const EngineConfig &cfg)
-{
-    return cfg.kvQuant ? 1 : cfg.kvPageTokens;
-}
-
 } // namespace
 
 std::size_t
@@ -120,16 +111,16 @@ PipelinedEngine::PipelinedEngine(const ModelWeights &weights,
       pinned_("pinned", maxTensorFloats(weights.cfg), 4),
       te_(pinned_, cfg.throttleBw),
       store_(weights, pinned_, 2),
-      kvQuantum_(kvQuantumFor(cfg)),
+      kv_(weights.cfg, cfg.maxConcurrency, cfg.kvPageTokens, cfg.kvQuant,
+          cfg.kvCapacityTokens),
       // Algorithm 2 budgets in request tokens (prompt + generated);
       // the engine's kvCapacityTokens counts token-layer entries, so
       // divide by the layer count. The batcher is constructed from
-      // these same two members — the budget check and the engine's
-      // reserved-usage report must round identically.
+      // this member — the budget check and submit()'s fit check must
+      // use the same budget.
       kvBudgetTokens_(std::max<std::size_t>(
           1, cfg.kvCapacityTokens / weights.cfg.l)),
-      batcher_(cfg.microBatch, kvBudgetTokens_, kvQuantum_,
-               cfg.headAgeLimit)
+      batcher_(cfg.microBatch, kvBudgetTokens_, cfg.headAgeLimit)
 {
     const ModelConfig &c = w_.cfg;
     fatalIf(c.l % store_.numSlots() != 0,
@@ -155,18 +146,8 @@ PipelinedEngine::PipelinedEngine(const ModelWeights &weights,
     for (std::size_t i = 0; i < cfg_.maxConcurrency; ++i)
         freeSlots_[i] = cfg_.maxConcurrency - 1 - i;  // back = slot 0
 
-    if (cfg_.kvQuant)
-        qkv_ = std::make_unique<QuantizedKvCache>(
-            c, cfg_.maxConcurrency, cfg_.kvPageTokens, *cfg_.kvQuant,
-            cfg_.kvCapacityTokens);
-    else
-        kv_ = std::make_unique<KvCacheManager>(
-            c, cfg_.maxConcurrency, cfg_.kvPageTokens,
-            cfg_.kvCapacityTokens);
-
     if (cfg_.prefixCache) {
-        PageTable &table =
-            qkv_ ? qkv_->pageTable() : kv_->pageTable();
+        PageTable &table = kv_.pageTable();
         // Stats report float-equivalent bytes: K+V rows for one token
         // across every layer.
         prefix_ = std::make_unique<PrefixCache>(
@@ -180,8 +161,7 @@ PipelinedEngine::PipelinedEngine(const ModelWeights &weights,
         // pinnedTokens in kvTokensInUse()).
         MutexLock lk(frontMu_);  // object not yet shared; analysis
         batcher_.setDemandOracle([this](const ServeRequest &r) {
-            return servingKvDemandNet(r, prefix_->peekMatch(r.prompt),
-                                      kvQuantum_);
+            return servingKvDemandNet(r, prefix_->peekMatch(r.prompt));
         });
     }
 
@@ -210,13 +190,12 @@ PipelinedEngine::submit(ServeRequest req)
     // once the queue drains to it — by then the slot is occupied and
     // the fault aborts the serving round. Every request accepted
     // here is eventually admittable (aged head-of-line included).
-    std::size_t demand = servingKvDemand(req, kvQuantum_);
+    std::size_t demand = servingKvDemand(req);
     fatalIf(demand > kvBudgetTokens_,
             "request ", req.id, " needs ", demand,
             " KV tokens (prompt ", req.prompt.size(),
             " + generation budget ", req.maxNewTokens,
-            ", rounded to ", kvQuantum_, "-token pages) but the "
-            "engine's KV capacity is ", kvBudgetTokens_,
+            ") but the engine's KV capacity is ", kvBudgetTokens_,
             " request tokens (kvCapacityTokens / layer count)");
     servingStampSubmitted(req);
     MutexLock lk(frontMu_);
@@ -254,15 +233,14 @@ PipelinedEngine::activeRequests() const
 std::size_t
 PipelinedEngine::kvUsedPages() const
 {
-    return qkv_ ? qkv_->usedPages() : kv_->usedPages();
+    return kv_.usedPages();
 }
 
 std::size_t
 PipelinedEngine::kvContextLen(SlotIdx slot) const
 {
     SeqId seq = seqOf(slot);
-    return qkv_ ? qkv_->contextLen(seq, LayerIdx(0))
-                : kv_->contextLen(seq, LayerIdx(0));
+    return kv_.contextLen(seq, LayerIdx(0));
 }
 
 std::size_t
@@ -289,18 +267,15 @@ PipelinedEngine::kvTokensInUse() const
     for (const auto &s : slots_)
         if (s)
             reserved += s->reservedTokens;
-    if (prefix_) {
-        const PageTable &t =
-            qkv_ ? qkv_->pageTable() : kv_->pageTable();
-        reserved += t.pinnedTokens() / w_.cfg.l;
-    }
+    if (prefix_)
+        reserved += kv_.pageTable().pinnedTokens() / w_.cfg.l;
     return reserved;
 }
 
 std::size_t
 PipelinedEngine::kvCachedPages() const
 {
-    return qkv_ ? qkv_->cachedPages() : kv_->cachedPages();
+    return kv_.cachedPages();
 }
 
 void
@@ -313,16 +288,11 @@ void
 PipelinedEngine::freeSlotKv(SlotIdx slot)
 {
     // A request that faulted before its first append holds no KV
-    // state; freeing it anyway would (rightly) trip the caches'
+    // state; freeing it anyway would (rightly) trip the store's
     // double-free detection.
     SeqId seq = seqOf(slot);
-    if (qkv_) {
-        if (qkv_->sequenceLive(seq))
-            qkv_->freeSequence(seq);
-    } else {
-        if (kv_->sequenceLive(seq))
-            kv_->freeSequence(seq);
-    }
+    if (kv_.sequenceLive(seq))
+        kv_.freeSequence(seq);
 }
 
 void
@@ -628,8 +598,7 @@ PipelinedEngine::admitPending(std::vector<RequestOutput> &finished)
         if (prefix_)
             as.prefixLen = prefix_->attach(seqOf(SlotIdx(slot)),
                                            as.req.prompt);
-        as.reservedTokens =
-            servingKvDemandNet(as.req, as.prefixLen, kvQuantum_);
+        as.reservedTokens = servingKvDemandNet(as.req, as.prefixLen);
         fresh.push_back(SlotIdx(slot));
     }
     {
@@ -708,7 +677,7 @@ PipelinedEngine::prefillSlots(const std::vector<SlotIdx> &slots)
                 h1_ * sizeof(float));
     }
     ensureAttnScratch(max_prompt + 1);
-    if (qkv_ && max_prompt > prefillScratchLen_) {
+    if (cfg_.kvQuant && max_prompt > prefillScratchLen_) {
         prefillScratchLen_ = max_prompt;
         // One slot per Gpu-pool worker: the fused prefill kernel
         // fans KV heads across the pool.
@@ -809,7 +778,7 @@ PipelinedEngine::prefillSlots(const std::vector<SlotIdx> &slots)
                                       store_.tensor(LayerIdx(li), "wv"),
                                       v_all.data(), len, h1_,
                                       kvDim_, pool);
-                    if (qkv_ && prefix == 0) {
+                    if (cfg_.kvQuant && prefix == 0) {
                         // Append the whole prompt, then run the fused
                         // causal prefill kernel once: each closed
                         // page dequantizes once per KV head instead
@@ -818,19 +787,19 @@ PipelinedEngine::prefillSlots(const std::vector<SlotIdx> &slots)
                         // bit (the reference engine's per-token fused
                         // decode stays the oracle for this).
                         for (std::size_t t = 0; t < len; ++t)
-                            qkv_->append(seqOf(slot), LayerIdx(li),
-                                         k_all.data() + t * kvDim_,
-                                         v_all.data() + t * kvDim_);
+                            kv_.append(seqOf(slot), LayerIdx(li),
+                                       k_all.data() + t * kvDim_,
+                                       v_all.data() + t * kvDim_);
                         // KV heads fan across the pool, preserving
                         // the per-position bit-exact walk.
                         gqaPrefillAttentionQuantFused(
                             q_all.data(), k_all.data(), v_all.data(),
                             len, c.nq,
-                            qkv_->makeQuantView(seqOf(slot),
-                                                LayerIdx(li)),
+                            kv_.makeQuantView(seqOf(slot),
+                                              LayerIdx(li)),
                             attn_all.data(), scale_,
                             cpuPrefillScratch_, pool);
-                    } else if (qkv_) {
+                    } else if (cfg_.kvQuant) {
                         // Prefix hit: the fused prefill kernel's walk
                         // assumes it replays the cache from empty, so
                         // a mid-context prefill runs the per-token
@@ -840,23 +809,24 @@ PipelinedEngine::prefillSlots(const std::vector<SlotIdx> &slots)
                         // bit-identical to, just starting at
                         // `prefix`, so hot tokens match cold ones.
                         for (std::size_t t = 0; t < len; ++t) {
-                            qkv_->append(seqOf(slot), LayerIdx(li),
-                                         k_all.data() + t * kvDim_,
-                                         v_all.data() + t * kvDim_);
+                            kv_.append(seqOf(slot), LayerIdx(li),
+                                       k_all.data() + t * kvDim_,
+                                       v_all.data() + t * kvDim_);
                             gqaDecodeAttentionQuantFused(
                                 q_all.data() + t * qDim_, c.nq,
-                                qkv_->makeQuantView(seqOf(slot),
-                                                    LayerIdx(li)),
+                                kv_.makeQuantView(seqOf(slot),
+                                                  LayerIdx(li)),
                                 attn_all.data() + t * qDim_,
                                 scale_, cpuAttnScratch_);
                         }
                     } else {
                         for (std::size_t t = 0; t < len; ++t) {
-                            kv_->append(seqOf(slot), LayerIdx(li),
-                                        k_all.data() + t * kvDim_,
-                                        v_all.data() + t * kvDim_);
+                            kv_.append(seqOf(slot), LayerIdx(li),
+                                       k_all.data() + t * kvDim_,
+                                       v_all.data() + t * kvDim_);
                             // The page-pointer list only changes when
-                            // an append opens a new page; between
+                            // an append opens a new page (pages never
+                            // move while resident); between
                             // boundaries just advance the context
                             // length instead of rebuilding the view.
                             // Keyed off the cache's actual length
@@ -864,12 +834,12 @@ PipelinedEngine::prefillSlots(const std::vector<SlotIdx> &slots)
                             // cache — prefix reuse, say — stays
                             // correct; t == 0 still always builds
                             // this (slot, layer)'s first view.
-                            std::size_t ctx_len = kv_->contextLen(
+                            std::size_t ctx_len = kv_.contextLen(
                                 seqOf(slot), LayerIdx(li));
                             if (t == 0 ||
                                 (ctx_len - 1) % cfg_.kvPageTokens == 0)
-                                kv_->makeView(seqOf(slot),
-                                              LayerIdx(li), view);
+                                kv_.makeView(seqOf(slot),
+                                             LayerIdx(li), view);
                             else
                                 view.view.contextLen = ctx_len;
                             gqaDecodeAttention(
@@ -1160,14 +1130,8 @@ PipelinedEngine::runDecodeChains(StepState &st)
                     const float *qkv =
                         st.qkvCpu[j].data() + r * qkvDim_;
                     try {
-                        if (qkv_)
-                            qkv_->append(seqOf(slot), LayerIdx(i),
-                                         qkv + qDim_,
-                                         qkv + qDim_ + kvDim_);
-                        else
-                            kv_->append(seqOf(slot), LayerIdx(i),
-                                        qkv + qDim_,
-                                        qkv + qDim_ + kvDim_);
+                        kv_.append(seqOf(slot), LayerIdx(i),
+                                   qkv + qDim_, qkv + qDim_ + kvDim_);
                     } catch (const FatalError &e) {
                         noteSlotFault(slot, e.what());
                     }
@@ -1178,13 +1142,13 @@ PipelinedEngine::runDecodeChains(StepState &st)
             ResourceKind::Cpu, {off}, [this, &st, i, j] {
                 const ModelConfig &c = w_.cfg;
                 std::size_t n = st.ubSize(j);
-                if (qkv_) {
+                if (cfg_.kvQuant) {
                     // Zero-copy quantized views; the fused kernel
                     // dequantizes rows in-register, so no float KV
                     // pages are ever materialized.
                     std::vector<QuantKvView> qviews(n);
                     for (std::size_t r = 0; r < n; ++r)
-                        qviews[r] = qkv_->makeQuantView(
+                        qviews[r] = kv_.makeQuantView(
                             seqOf(st.rowSlot[st.ubStart[j] + r]),
                             LayerIdx(i));
                     gqaDecodeAttentionQuantBatch(
@@ -1193,12 +1157,12 @@ PipelinedEngine::runDecodeChains(StepState &st)
                         attnPool_.get(), cpuBatchScratch_);
                     return;
                 }
-                // Materialize all views first, then fan the tokens
+                // Build all views first, then fan the tokens
                 // out across the attention pool (multi-core kernel).
                 std::vector<KvViewStorage> views(n);
                 std::vector<KvView> kvs(n);
                 for (std::size_t r = 0; r < n; ++r) {
-                    kv_->makeView(
+                    kv_.makeView(
                         seqOf(st.rowSlot[st.ubStart[j] + r]),
                         LayerIdx(i), views[r]);
                     kvs[r] = views[r].view;

@@ -69,7 +69,6 @@
 #include "runtime/kv_cache.hh"
 #include "runtime/paged_weights.hh"
 #include "runtime/prefix_cache.hh"
-#include "runtime/quant_kv_cache.hh"
 #include "runtime/serving.hh"
 #include "runtime/stream_executor.hh"
 #include "runtime/transfer_engine.hh"
@@ -82,7 +81,9 @@ struct EngineConfig
 {
     std::size_t microBatch = 4;       ///< sequences per micro-batch
     std::size_t kvPageTokens = 16;    ///< tokens per KV page
-    std::size_t kvCapacityTokens = 1u << 16;  ///< KV pool (tokens)
+    /** KV budget in token-layer entries (tokens x layers), metered
+     *  exactly for every codec. */
+    std::size_t kvCapacityTokens = 1u << 16;
     std::size_t lookahead = 2;        ///< Algorithm 1's CPU-attn lead
     Bandwidth throttleBw = 0.0;       ///< simulated link bw; 0 = off
     /** Sequence slots: the maximum number of requests generating
@@ -167,8 +168,8 @@ class PipelinedEngine : public Engine
      *  generate() call (generate resets them). */
     TransferStats transferStats() const { return te_.stats(); }
 
-    /** Current KV pool usage in pages (float pool pages, or closed +
-     *  open quantized pages with kvQuant). Shrinks mid-flight as
+    /** Current KV usage in pages (K + V per block referenced by a
+     *  live sequence, whatever the codec). Shrinks mid-flight as
      *  requests retire; 0 once the engine drains. */
     std::size_t kvUsedPages() const;
 
@@ -248,9 +249,9 @@ class PipelinedEngine : public Engine
                         std::string errorMessage,
                         std::vector<RequestOutput> &finished);
     void preemptYoungest();
-    /** The slot->sequence identity map: slot i owns KV sequence i in
-     *  whichever cache is active. The ONLY place a SlotIdx becomes a
-     *  SeqId (see docs/index_domains.md). */
+    /** The slot->sequence identity map: slot i owns KV sequence i.
+     *  The ONLY place a SlotIdx becomes a SeqId (see
+     *  docs/index_domains.md). */
     static SeqId seqOf(SlotIdx slot) { return SeqId(slot.value()); }
     /** Record a request-scope fault for @p slot (from any queue
      *  thread); first message wins. */
@@ -275,18 +276,17 @@ class PipelinedEngine : public Engine
      *  Gpu queue thread, so neither pool ever has two dispatchers.
      *  Null when gpuPoolWorkers() gives 0. */
     std::unique_ptr<ThreadPool> gpuPool_;
-    std::unique_ptr<KvCacheManager> kv_;
-    std::unique_ptr<QuantizedKvCache> qkv_;  ///< when cfg_.kvQuant
-    /** Prefix tree over the active cache's page table (when
-     *  cfg_.prefixCache); declared after the caches it borrows. */
+    /** The paged KV store, float or quantized per cfg_.kvQuant; only
+     *  the attention call sites (prefill walk, decode Cpu attention)
+     *  look at the codec. */
+    KvCache kv_;
+    /** Prefix tree over the KV store's page table (when
+     *  cfg_.prefixCache); declared after the store it borrows. */
     std::unique_ptr<PrefixCache> prefix_;
-    /** KV allocation granularity for admission accounting (page size
-     *  in float mode, 1 in quant mode). Declared before batcher_ so
-     *  the batcher is constructed from the same value. */
-    std::size_t kvQuantum_ = 1;
     /** Total admission budget in request tokens (kvCapacityTokens /
      *  layers); submit() rejects requests that can never fit it.
-     *  Declared before batcher_ for the same reason. */
+     *  Declared before batcher_ so the batcher is constructed from the
+     *  same value. */
     std::size_t kvBudgetTokens_ = 0;
     /** Front-end lock: submit(), cancel(), pendingRequests() and
      *  activeRequests() are callable from any thread while one driver

@@ -13,7 +13,7 @@
  * round scope like any real fault.
  *
  * Site names (see docs/error_model.md):
- *   kv.alloc     — KvCacheManager::append / QuantizedKvCache::append
+ *   kv.alloc     — KvCache::append (once per appended token)
  *   weights.load — PagedWeightStore::loadPage
  *   exec.task    — StreamExecutor::workerLoop, before each task body
  *

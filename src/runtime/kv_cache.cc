@@ -1,118 +1,128 @@
 #include "runtime/kv_cache.hh"
 
 #include <cstring>
+#include <utility>
 
 #include "common/logging.hh"
 
 namespace moelight {
 
-KvCacheManager::KvCacheManager(const ModelConfig &cfg,
-                               std::size_t numSeqs,
-                               std::size_t pageTokens,
-                               std::size_t capacityTokens)
+KvCache::KvCache(const ModelConfig &cfg, std::size_t numSeqs,
+                 std::size_t pageTokens, std::optional<QuantKind> codec,
+                 std::size_t capacityTokens)
     : cfg_(cfg),
-      numSeqs_(numSeqs),
       pageTokens_(pageTokens),
       tokenFloats_(cfg.nkv * cfg.headDim),
-      pool_("kv-cache", pageTokens * cfg.nkv * cfg.headDim,
-            // K and V pools share one arena: 2 pages per page-worth
-            // of tokens, rounded up, per (seq, layer) lazily.
-            2 * ((capacityTokens + pageTokens - 1) / pageTokens) + 2),
-      table_(numSeqs, cfg.l, pageTokens, PageCapacityModel::Blocks,
-             // One block = one K + one V page, so the block budget is
-             // half the arena — the same boundary the legacy
-             // freePages() < 2 pre-check enforced.
-             pool_.numPages() / 2,
+      codec_(codec),
+      viewK_(codec ? numSeqs * cfg.l : 0),
+      viewV_(codec ? numSeqs * cfg.l : 0),
+      table_(numSeqs, cfg.l, pageTokens, capacityTokens,
              PageTableHooks{
                  [this] {
-                     // Append-side workers allocate while the
-                     // attention worker views other sequences; mu_
-                     // covers the (reallocating!) pairs_ vector. It
-                     // is held across the arena calls — arena's lock
-                     // is a leaf, so the order mu_ → pool_.mu_ is
-                     // safe and fixed.
+                     // Both pages at full size, once: a page never
+                     // reallocates while its block is open, so views
+                     // built before an append stay valid after it.
+                     // Allocated before taking mu_, which then only
+                     // covers the container.
+                     Block fresh;
+                     fresh.k.resize(pageTokens_ * tokenFloats_);
+                     fresh.v.resize(pageTokens_ * tokenFloats_);
                      MutexLock lk(mu_);
-                     BlockId id;
-                     if (!freeIds_.empty()) {
-                         id = freeIds_.back();
-                         freeIds_.pop_back();
-                     } else {
-                         id = narrowIndex<BlockId>(pairs_.size());
-                         pairs_.emplace_back();
+                     if (freeIds_.empty()) {
+                         blocks_.push_back(std::move(fresh));
+                         return narrowIndex<BlockId>(blocks_.size() -
+                                                     1);
                      }
-                     // Allocate K and V together so a block is
-                     // all-or-nothing (the table checked capacity, so
-                     // the arena cannot be exhausted here).
-                     pairs_[id.value()].k = pool_.allocate();
-                     pairs_[id.value()].v = pool_.allocate();
+                     BlockId id = freeIds_.back();
+                     freeIds_.pop_back();
+                     blocks_[id.value()] = std::move(fresh);
                      return id;
                  },
-                 [this](BlockId dst, BlockId src,
-                        std::size_t tokens) {
-                     PagePair d, s;
-                     {
-                         MutexLock lk(mu_);
-                         d = pairs_[dst.value()];
-                         s = pairs_[src.value()];
-                     }
-                     // Copy outside mu_: the pages themselves belong
-                     // to the two streams involved in the CoW.
-                     std::memcpy(pool_.page(d.k), pool_.page(s.k),
-                                 tokens * tokenFloats_ *
-                                     sizeof(float));
-                     std::memcpy(pool_.page(d.v), pool_.page(s.v),
-                                 tokens * tokenFloats_ *
-                                     sizeof(float));
+                 [this](BlockId dst, BlockId src, std::size_t tokens) {
+                     // Copy-on-write fires only on open (partial)
+                     // blocks, whose tokens are still float. The pages
+                     // belong to the two streams involved, so the copy
+                     // runs outside mu_.
+                     const Block &s = blockAt(src);
+                     Block &d = blockAt(dst);
+                     panicIf(s.qk.has_value(),
+                             "copy-on-write of a closed quant block");
+                     std::size_t bytes =
+                         tokens * tokenFloats_ * sizeof(float);
+                     std::memcpy(d.k.data(), s.k.data(), bytes);
+                     std::memcpy(d.v.data(), s.v.data(), bytes);
                  },
                  [this](BlockId id) {
+                     Block dead;  // its storage is freed after unlock
                      MutexLock lk(mu_);
-                     pool_.release(pairs_[id.value()].k);
-                     pool_.release(pairs_[id.value()].v);
-                     pairs_[id.value()] = PagePair{};
+                     std::swap(dead, blocks_[id.value()]);
                      freeIds_.push_back(id);
                  },
              })
 {
-    fatalIf(numSeqs == 0, "KV cache for zero sequences");
-    fatalIf(pageTokens == 0, "KV page must hold at least one token");
+    // The table rejects zero sequences and zero-token pages.
+    // Quantization groups are one token-head vector each (group ==
+    // headDim), so only int4's two-nibbles-per-byte packing needs an
+    // even headDim; int8 stores one byte per element and works for
+    // any headDim.
+    fatalIf(codec == QuantKind::Int4 && cfg.headDim % 2 != 0,
+            "headDim must be even for int4 packing");
+}
+
+KvCache::Block &
+KvCache::blockAt(BlockId id)
+{
+    MutexLock lk(mu_);
+    panicIf(static_cast<std::size_t>(id.value()) >= blocks_.size(),
+            "unknown KV block ", id);
+    return blocks_[id.value()];
 }
 
 void
-KvCacheManager::append(SeqId seq, LayerIdx layer,
-                       const float *k, const float *v)
+KvCache::append(SeqId seq, LayerIdx layer, const float *k,
+                const float *v)
 {
+    // The table throws typed KvExhausted before any mutation, so a
+    // rejected append leaves the accounting consistent.
     AppendSlot slot = table_.appendToken(seq, layer);
-    PagePair pair;
-    {
-        MutexLock lk(mu_);
-        pair = pairs_[slot.block.value()];
+    Block &b = blockAt(slot.block);  // contents are this stream's alone
+    std::size_t at = slot.offset * tokenFloats_;
+    std::memcpy(b.k.data() + at, k, tokenFloats_ * sizeof(float));
+    std::memcpy(b.v.data() + at, v, tokenFloats_ * sizeof(float));
+    if (codec_ && slot.offset + 1 == pageTokens_) {
+        // Page full: quantize (group = one head vector) and free the
+        // floats. The block is closed — and from here on shareable.
+        b.qk.emplace(std::span<const float>(b.k), *codec_,
+                     cfg_.headDim);
+        b.qv.emplace(std::span<const float>(b.v), *codec_,
+                     cfg_.headDim);
+        std::vector<float>().swap(b.k);
+        std::vector<float>().swap(b.v);
     }
-    float *kp = pool_.page(pair.k) + slot.offset * tokenFloats_;
-    float *vp = pool_.page(pair.v) + slot.offset * tokenFloats_;
-    std::memcpy(kp, k, tokenFloats_ * sizeof(float));
-    std::memcpy(vp, v, tokenFloats_ * sizeof(float));
 }
 
 std::size_t
-KvCacheManager::contextLen(SeqId seq, LayerIdx layer) const
+KvCache::contextLen(SeqId seq, LayerIdx layer) const
 {
     return table_.streamLen(seq, layer);
 }
 
 void
-KvCacheManager::makeView(SeqId seq, LayerIdx layer,
-                         KvViewStorage &storage) const
+KvCache::makeView(SeqId seq, LayerIdx layer,
+                  KvViewStorage &storage) const
 {
+    panicIf(codec_.has_value(),
+            "makeView over a quantized KV cache (use makeQuantView)");
+    std::span<const BlockId> ids = table_.streamBlocks(seq, layer);
     storage.k.clear();
     storage.v.clear();
-    for (BlockId b : table_.streamBlocks(seq, layer)) {
-        PagePair pair;
-        {
-            MutexLock lk(mu_);
-            pair = pairs_[b.value()];
+    {
+        MutexLock lk(mu_);
+        for (BlockId id : ids) {
+            const Block &b = blocks_[id.value()];
+            storage.k.push_back(b.k.data());
+            storage.v.push_back(b.v.data());
         }
-        storage.k.push_back(pool_.page(pair.k));
-        storage.v.push_back(pool_.page(pair.v));
     }
     storage.view.kPages = storage.k;
     storage.view.vPages = storage.v;
@@ -122,16 +132,77 @@ KvCacheManager::makeView(SeqId seq, LayerIdx layer,
     storage.view.headDim = cfg_.headDim;
 }
 
+QuantKvView
+KvCache::makeQuantView(SeqId seq, LayerIdx layer) const
+{
+    panicIf(!codec_.has_value(),
+            "makeQuantView over a float KV cache (use makeView)");
+    std::span<const BlockId> ids = table_.streamBlocks(seq, layer);
+    auto &kp = viewK_[seq.value() * cfg_.l + layer.value()];
+    auto &vp = viewV_[seq.value() * cfg_.l + layer.value()];
+    kp.clear();
+    vp.clear();
+    QuantKvView view;
+    view.contextLen = table_.streamLen(seq, layer);
+    {
+        MutexLock lk(mu_);
+        for (BlockId id : ids) {
+            const Block &b = blocks_[id.value()];
+            if (b.qk.has_value()) {
+                kp.push_back(&*b.qk);
+                vp.push_back(&*b.qv);
+            } else {
+                // Only the tail block may be open (float).
+                view.openK = b.k.data();
+                view.openV = b.v.data();
+            }
+        }
+    }
+    // Every closed page is full, so the open tail holds the rest.
+    view.openTokens = view.contextLen - kp.size() * pageTokens_;
+    view.kPages = kp;
+    view.vPages = vp;
+    view.pageTokens = pageTokens_;
+    view.nKv = cfg_.nkv;
+    view.headDim = cfg_.headDim;
+    return view;
+}
+
 bool
-KvCacheManager::sequenceLive(SeqId seq) const
+KvCache::sequenceLive(SeqId seq) const
 {
     return table_.sequenceLive(seq);
 }
 
 void
-KvCacheManager::freeSequence(SeqId seq)
+KvCache::freeSequence(SeqId seq)
 {
     table_.freeSequence(seq);
+}
+
+std::size_t
+KvCache::storedBytes() const
+{
+    // Freed blocks hold no storage, so summing the whole store counts
+    // exactly the resident blocks, shared ones once.
+    MutexLock lk(mu_);
+    std::size_t bytes = 0;
+    for (const Block &b : blocks_) {
+        if (b.qk.has_value())
+            bytes += b.qk->storageBytes() + b.qv->storageBytes();
+        bytes += (b.k.size() + b.v.size()) * sizeof(float);
+    }
+    return bytes;
+}
+
+std::size_t
+KvCache::equivalentFloatBytes() const
+{
+    std::size_t tokens = 0;
+    for (SeqId s : IndexRange(SeqId(table_.numSeqs())))
+        for (LayerIdx l : IndexRange(LayerIdx(cfg_.l)))
+            tokens += table_.streamLen(s, l);
+    return tokens * 2 * tokenFloats_ * sizeof(float);
 }
 
 } // namespace moelight

@@ -9,21 +9,18 @@
 namespace moelight {
 
 PageTable::PageTable(std::size_t numSeqs, std::size_t layers,
-                     std::size_t pageTokens, PageCapacityModel model,
-                     std::size_t capacity, PageTableHooks hooks)
+                     std::size_t pageTokens, std::size_t capacityTokens,
+                     PageTableHooks hooks)
     : numSeqs_(numSeqs),
       layers_(layers),
       pageTokens_(pageTokens),
-      model_(model),
-      capacity_(capacity),
+      capacityTokens_(capacityTokens),
       hooks_(std::move(hooks)),
       streams_(numSeqs * layers)
 {
     fatalIf(numSeqs == 0, "page table for zero sequences");
     fatalIf(layers == 0, "page table for zero layers");
     fatalIf(pageTokens == 0, "KV page must hold at least one token");
-    fatalIf(model == PageCapacityModel::Blocks && capacity == 0,
-            "block-metered page table needs a block budget");
     fatalIf(!hooks_.allocBlock || !hooks_.copyBlock ||
                 !hooks_.freeBlock,
             "page table needs all three storage hooks");
@@ -63,20 +60,13 @@ void
 PageTable::ensureCapacity(SeqId seq, LayerIdx layer,
                           std::size_t len, std::size_t needTokens)
 {
-    auto fits = [&] {
-        if (model_ == PageCapacityModel::Blocks)
-            return residentBlocks_ < capacity_;
-        return capacity_ == 0 ||
-               residentTokens_ + needTokens <= capacity_;
-    };
-    while (!fits())
+    while (capacityTokens_ != 0 &&
+           residentTokens_ + needTokens > capacityTokens_)
         if (!reclaim_ || !reclaim_())
             throw EngineError(
                 ErrorCode::KvExhausted, "kv.alloc",
-                std::string(model_ == PageCapacityModel::Blocks
-                                ? "KV pool out of pages"
-                                : "KV cache out of token capacity") +
-                    " appending token " + std::to_string(len) +
+                "KV cache out of token capacity appending token " +
+                    std::to_string(len) +
                     " of (seq " + std::to_string(seq.value()) +
                     ", layer " + std::to_string(layer.value()) + ")");
 }
@@ -133,42 +123,39 @@ PageTable::appendToken(SeqId seq, LayerIdx layer)
     MOELIGHT_ASSERT_SERIAL(gate_);
     Stream &st = at(seq, layer);
     std::size_t off = st.len % pageTokens_;
-    // Injection cadence matches what each cache historically did:
-    // the page-granular float pool checked once per allocation, the
-    // token-granular quant budget once per append.
-    if (model_ == PageCapacityModel::Tokens || off == 0)
-        FaultInjector::check("kv.alloc");
+    FaultInjector::check("kv.alloc");
+
+    // Copy-on-write: another holder can see this open tail, so
+    // appending in place would corrupt it. Take a private copy of the
+    // prefix and release the shared original. (The engines never hit
+    // this — shared prefix blocks are always full — but the invariant
+    // is enforced here, not by caller discipline.)
+    bool cow = false;
+    if (off != 0) {
+        const BlockMeta &m = meta(st.blocks.back());
+        cow = m.streamRefs > 1 || m.pins > 0;
+    }
+    // One budget check per append, before any mutation: the token,
+    // plus the copied prefix when copy-on-write duplicates it.
+    ensureCapacity(seq, layer, st.len, cow ? off + 1 : 1);
 
     AppendSlot slot;
     if (off == 0) {
-        ensureCapacity(seq, layer, st.len, 1);
         BlockId b = allocFresh();
         ref(b);
         st.blocks.push_back(b);
         slot.fresh = true;
-    } else {
+    } else if (cow) {
         BlockId last = st.blocks.back();
-        BlockMeta &m = meta(last);
-        if (m.streamRefs > 1 || m.pins > 0) {
-            // Copy-on-write: another holder can see this open tail,
-            // so appending in place would corrupt it. Take a private
-            // copy of the prefix and release the shared original.
-            // (The engines never hit this — shared prefix blocks are
-            // always full — but the invariant is enforced here, not
-            // by caller discipline.)
-            ensureCapacity(seq, layer, st.len, off + 1);
-            BlockId fresh = allocFresh();
-            hooks_.copyBlock(fresh, last, off);
-            meta(fresh).tokens = off;
-            residentTokens_ += off;
-            ref(fresh);
-            deref(last);
-            st.blocks.back() = fresh;
-            slot.fresh = true;
-            slot.copied = true;
-        }
-        if (model_ == PageCapacityModel::Tokens)
-            ensureCapacity(seq, layer, st.len, 1);
+        BlockId fresh = allocFresh();
+        hooks_.copyBlock(fresh, last, off);
+        meta(fresh).tokens = off;
+        residentTokens_ += off;
+        ref(fresh);
+        deref(last);
+        st.blocks.back() = fresh;
+        slot.fresh = true;
+        slot.copied = true;
     }
     BlockId b = st.blocks.back();
     meta(b).tokens += 1;
@@ -300,6 +287,59 @@ std::size_t
 PageTable::blockPins(BlockId block) const
 {
     return meta(block).pins;
+}
+
+void
+PageTable::checkInvariants() const
+{
+    // Recount every stream's attachments per block.
+    std::vector<std::size_t> attached(meta_.size(), 0);
+    for (const Stream &st : streams_) {
+        std::size_t tokens = 0;
+        for (std::size_t i = 0; i < st.blocks.size(); ++i) {
+            BlockId b = st.blocks[i];
+            const BlockMeta &m = meta(b);
+            panicIf(!m.resident, "stream references freed block ", b);
+            panicIf(i + 1 < st.blocks.size() && m.tokens != pageTokens_,
+                    "non-tail block ", b, " holds ", m.tokens,
+                    " tokens, not a full page");
+            ++attached[b.value()];
+            tokens += m.tokens;
+        }
+        panicIf(tokens != st.len, "stream length ", st.len,
+                " != its blocks' fill ", tokens);
+    }
+    std::size_t resident = 0, referenced = 0, residentTokens = 0,
+                pinnedTokens = 0;
+    for (std::size_t i = 0; i < meta_.size(); ++i) {
+        const BlockMeta &m = meta_[i];
+        panicIf(m.streamRefs != attached[i], "block ", i,
+                " refcount ", m.streamRefs, " != ", attached[i],
+                " stream attachments");
+        if (!m.resident) {
+            panicIf(m.pins != 0, "freed block ", i, " is pinned");
+            panicIf(m.tokens != 0, "freed block ", i, " holds tokens");
+            continue;
+        }
+        panicIf(m.tokens > pageTokens_, "block ", i, " overfull");
+        panicIf(m.streamRefs == 0 && m.pins == 0, "block ", i,
+                " resident with no reference or pin (leaked)");
+        ++resident;
+        referenced += m.streamRefs != 0 ? 1 : 0;
+        residentTokens += m.tokens;
+        pinnedTokens += m.pins != 0 ? m.tokens : 0;
+    }
+    panicIf(resident != residentBlocks_, "residentBlocks ",
+            residentBlocks_, " != ", resident, " resident blocks");
+    panicIf(referenced != referencedBlocks_, "referencedBlocks ",
+            referencedBlocks_, " != ", referenced);
+    panicIf(residentTokens != residentTokens_, "residentTokens ",
+            residentTokens_, " != block fill sum ", residentTokens);
+    panicIf(pinnedTokens != pinnedTokens_, "pinnedTokens ",
+            pinnedTokens_, " != pinned fill sum ", pinnedTokens);
+    panicIf(capacityTokens_ != 0 && residentTokens_ > capacityTokens_,
+            "residentTokens ", residentTokens_, " over capacity ",
+            capacityTokens_);
 }
 
 } // namespace moelight

@@ -1,14 +1,13 @@
 /**
  * @file
- * Shared refcounted page/block table — the single ownership layer
- * under both KV caches. A *block* is one page-worth of K plus V for
+ * Shared refcounted page/block table — the ownership layer under the
+ * KV cache (kv_cache.hh). A *block* is one page-worth of K plus V for
  * one (sequence, layer) stream position range; the table tracks which
  * blocks each stream references, how many streams reference each
  * block, and how many external pins (the prefix cache) hold it
- * resident. Storage itself stays in the cache (float arena pages or
- * quantized buffers) behind three hooks, so the refcount, capacity,
- * copy-on-write and typed-error logic exists exactly once instead of
- * per-cache (the duplication PRs 2-6 patched in stereo).
+ * resident. Storage itself stays in the cache (float or quantized
+ * pages) behind three hooks, so the refcount, capacity, copy-on-write
+ * and typed-error logic is independent of the storage codec.
  *
  * Sharing model (vLLM/SGLang radix-cache style):
  *  - A stream owns its open (partial) tail block exclusively; closed
@@ -21,12 +20,11 @@
  *    last pin drop; pinned-but-unreferenced blocks stay resident
  *    (cached prefixes) but do not count as "used" by live sequences.
  *
- * Capacity is enforced here, before any storage hook runs: block-
- * granular (the float arena) or token-granular (the quant budget).
- * On pressure the reclaim hook (the prefix cache's LRU eviction) is
- * invoked until space frees or it gives up, then the append throws
- * the typed EngineError(KvExhausted) the engines contain at request
- * scope.
+ * Capacity is a token budget, enforced here on every append before
+ * any storage hook runs. On pressure the reclaim hook (the prefix
+ * cache's LRU eviction) is invoked until space frees or it gives up,
+ * then the append throws the typed EngineError(KvExhausted) the
+ * engines contain at request scope.
  *
  * Single-threaded-by-contract: no internal locking. The table IS
  * reached from several threads — decode appends run on the DtoH
@@ -52,7 +50,7 @@
 namespace moelight {
 
 /** Identifies one block; doubles as the owning cache's storage index
- *  (the hooks translate it to arena pages / quantized buffers).
+ *  (the hooks translate it to float or quantized pages).
  *  A strong index domain: not interchangeable with PageId, SeqId or
  *  any other index space (see docs/index_domains.md). */
 using BlockId = StrongIndex<struct BlockIdTag, std::uint32_t>;
@@ -68,13 +66,6 @@ struct PageTableHooks
         copyBlock;
     /** Release backing storage of @p block (refs and pins are 0). */
     std::function<void(BlockId)> freeBlock;
-};
-
-/** How the table meters capacity. */
-enum class PageCapacityModel
-{
-    Blocks,  ///< resident blocks vs a block budget (float arena)
-    Tokens,  ///< resident tokens vs a token budget (quant cache)
 };
 
 /** Where appendToken() placed one token. */
@@ -94,8 +85,8 @@ struct AppendSlot
 /**
  * Refcounted block table for numSeqs x layers streams. All typed KV
  * ownership errors (KvExhausted @ kv.alloc, KvInvalidSequence /
- * KvDoubleFree @ kv.free) originate here — one contract for both
- * caches.
+ * KvDoubleFree @ kv.free) originate here — one contract whatever the
+ * storage codec.
  */
 class PageTable
 {
@@ -104,16 +95,15 @@ class PageTable
      * @param numSeqs    Sequence slots tracked.
      * @param layers     Layers per sequence (streams = numSeqs*layers).
      * @param pageTokens Tokens per (full) block.
-     * @param model      Capacity metering (blocks or tokens).
-     * @param capacity   Budget in the model's unit; 0 = unlimited
-     *                   (Tokens model only).
+     * @param capacityTokens Budget of resident tokens (shared blocks
+     *                   count once); 0 = unlimited.
      * @param hooks      Storage callbacks; all three must be set.
      */
     // NOLINTBEGIN(bugprone-easily-swappable-parameters): capacity
     // tuple, not indices; test_page_table pins the argument order.
     PageTable(std::size_t numSeqs, std::size_t layers,
-              std::size_t pageTokens, PageCapacityModel model,
-              std::size_t capacity, PageTableHooks hooks);
+              std::size_t pageTokens, std::size_t capacityTokens,
+              PageTableHooks hooks);
     // NOLINTEND(bugprone-easily-swappable-parameters)
 
     /**
@@ -121,11 +111,9 @@ class PageTable
      * fresh block at page boundaries, copy-on-writes a shared open
      * tail, and enforces the capacity budget (driving the reclaim
      * hook first). Throws EngineError(KvExhausted, "kv.alloc") when
-     * space cannot be made. FaultInjector site "kv.alloc" — checked
-     * per block in the Blocks model (allocation granularity) and per
-     * token in the Tokens model, preserving each cache's legacy
-     * injection cadence. The caller writes the token's payload into
-     * the returned slot via its own storage.
+     * space cannot be made. FaultInjector site "kv.alloc", checked
+     * once per append. The caller writes the token's payload into the
+     * returned slot via its own storage.
      */
     AppendSlot appendToken(SeqId seq, LayerIdx layer);
 
@@ -174,22 +162,33 @@ class PageTable
     /** External pins on @p block. */
     std::size_t blockPins(BlockId block) const;
 
-    /** Physically allocated blocks (what capacity meters in the
-     *  Blocks model) — includes pinned-but-unreferenced cache
-     *  blocks. */
+    /** Physically allocated blocks — includes pinned-but-
+     *  unreferenced cache blocks. */
     std::size_t residentBlocks() const { return residentBlocks_; }
     /** Distinct blocks referenced by at least one stream (counted
      *  once however many streams share them) — live-sequence usage,
      *  0 once every sequence freed, even with cached pages pinned. */
     std::size_t referencedBlocks() const { return referencedBlocks_; }
-    /** Physically stored tokens (what capacity meters in the Tokens
-     *  model; shared blocks count once). */
+    /** Physically stored tokens (what capacity meters; shared blocks
+     *  count once). */
     std::size_t residentTokens() const { return residentTokens_; }
     /** Tokens resident in pinned blocks (the prefix cache's working
      *  set), counted once however many pins or streams hold them —
      *  what admission must budget on top of per-request private
      *  demand. Token-layer units, like residentTokens(). */
     std::size_t pinnedTokens() const { return pinnedTokens_; }
+
+    /**
+     * Check the table's guarantees and panic naming the first one
+     * broken: every block's stream refcount equals the number of
+     * stream attachments to it; no freed block is referenced or
+     * pinned; every stream's length is the sum of its blocks' fill
+     * levels, all full except the tail; and the resident / referenced
+     * / resident-token / pinned-token counters equal what the blocks
+     * add up to. O(blocks + stream blocks) — for tests and debug
+     * checks, not the hot path.
+     */
+    void checkInvariants() const;
 
     std::size_t pageTokens() const { return pageTokens_; }
     std::size_t numSeqs() const { return numSeqs_; }
@@ -224,9 +223,8 @@ class PageTable
     BlockMeta &meta(BlockId b);
     const BlockMeta &meta(BlockId b) const;
 
-    /** Make room for one more block (Blocks model) or @p needTokens
-     *  tokens (Tokens model), driving the reclaim hook; throws
-     *  KvExhausted when it cannot. */
+    /** Make room for @p needTokens more resident tokens, driving the
+     *  reclaim hook; throws KvExhausted when it cannot. */
     // NOLINTBEGIN(bugprone-easily-swappable-parameters): the two raw
     // sizes are (current length, tokens wanted) — lengths, not
     // indices; the seq/layer pair is already strongly typed.
@@ -241,8 +239,7 @@ class PageTable
     std::size_t numSeqs_;
     std::size_t layers_;
     std::size_t pageTokens_;
-    PageCapacityModel model_;
-    std::size_t capacity_;
+    std::size_t capacityTokens_;
     PageTableHooks hooks_;
     std::function<bool()> reclaim_;
 

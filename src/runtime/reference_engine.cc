@@ -23,18 +23,6 @@ ReferenceEngine::ReferenceEngine(const ModelWeights &weights,
             "KV page must hold at least one token");
 }
 
-void
-ReferenceEngine::reset()
-{
-    {
-        MutexLock lk(frontMu_);
-        fatalIf(!pending_.empty() || !active_.empty(),
-                "reset() with requests in flight");
-    }
-    seqs_.clear();
-    freeSeqs_.clear();
-}
-
 ReferenceEngine::SeqCache &
 ReferenceEngine::cacheFor(SeqId seq)
 {
@@ -313,8 +301,8 @@ ReferenceEngine::forwardToken(SeqId seq, int token)
                           kvDim);
         if (kvQuant_) {
             if (!cache.quant)
-                cache.quant = std::make_unique<QuantizedKvCache>(
-                    cfg, 1, kvPageTokens_, *kvQuant_);
+                cache.quant = std::make_unique<KvCache>(
+                    cfg, 1, kvPageTokens_, kvQuant_);
             cache.quant->append(SeqId(0), LayerIdx(li), k.data(),
                                 v.data());
             // Deliberately the per-token fused decode walk, prompt

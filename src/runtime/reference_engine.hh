@@ -24,7 +24,7 @@
 
 #include "common/strong_types.hh"
 #include "common/sync.hh"
-#include "runtime/quant_kv_cache.hh"
+#include "runtime/kv_cache.hh"
 #include "runtime/serving.hh"
 #include "runtime/weights.hh"
 
@@ -43,7 +43,7 @@ class ReferenceEngine : public Engine
   public:
     /**
      * @p weights must outlive the engine. When @p kvQuant is set, KV
-     * is stored in a QuantizedKvCache with @p kvPageTokens tokens per
+     * is stored in a quantized KvCache with @p kvPageTokens tokens per
      * page and attention runs through the fused quant kernel — the
      * single-threaded oracle for the pipelined engine's quantized
      * mode (page geometry must match for token-exact comparison).
@@ -73,18 +73,17 @@ class ReferenceEngine : public Engine
     /** Logits from a hidden state (final norm + LM head). */
     std::vector<float> logitsOf(const std::vector<float> &hidden) const;
 
-    /** Drop all KV state; only valid when no requests are in flight. */
-    void reset();
-
   private:
     struct SeqCache
     {
         /** Per layer: [len, nkv*headDim] grow-able K and V. */
         std::vector<std::vector<float>> k;
         std::vector<std::vector<float>> v;
-        /** Quantized mode: one single-sequence cache per sequence
-         *  (lazily created; k/v above stay empty). */
-        std::unique_ptr<QuantizedKvCache> quant;
+        /** Quantized mode: one single-sequence quantized KvCache per
+         *  sequence (lazily created; k/v above stay empty). The float
+         *  mode deliberately keeps the plain vectors above, so the
+         *  oracle does not share the pipelined engine's float store. */
+        std::unique_ptr<KvCache> quant;
         std::size_t len = 0;
     };
 

@@ -51,15 +51,12 @@ Engine::generate(const std::vector<std::vector<int>> &prompts,
 
 ContinuousBatcher::ContinuousBatcher(std::size_t microBatch,
                                      std::size_t kvBudgetTokens,
-                                     std::size_t pageQuantum,
                                      std::size_t headAgeLimit)
     : microBatch_(microBatch),
       kvBudgetTokens_(kvBudgetTokens),
-      pageQuantum_(pageQuantum),
       headAgeLimit_(headAgeLimit)
 {
     fatalIf(microBatch_ == 0, "micro-batch must be positive");
-    fatalIf(pageQuantum_ == 0, "page quantum must be positive");
     fatalIf(headAgeLimit_ == 0,
             "head age limit must be >= 1 (rounds the queue head may "
             "be passed over)");
@@ -68,8 +65,7 @@ ContinuousBatcher::ContinuousBatcher(std::size_t microBatch,
 std::size_t
 ContinuousBatcher::kvDemand(const ServeRequest &req) const
 {
-    return demandOracle_ ? demandOracle_(req)
-                         : servingKvDemand(req, pageQuantum_);
+    return demandOracle_ ? demandOracle_(req) : servingKvDemand(req);
 }
 
 void

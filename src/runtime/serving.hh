@@ -228,18 +228,15 @@ servingMakeTerminalOutput(const ServeRequest &req,
 
 /**
  * A request's KV reservation in request tokens: prompt + full
- * generation budget, rounded up to the pool's allocation @p quantum
- * (page size for a page-granular pool, 1 for exact accounting). The
- * single source of truth for both halves of admission control — the
- * batcher's budget check and the engine's reserved-usage report must
- * round identically or admission over-commits the pool.
+ * generation budget, exactly (the KV store meters tokens, not pages).
+ * The single source of truth for both halves of admission control —
+ * the batcher's budget check and the engine's reserved-usage report
+ * must agree or admission over-commits the pool.
  */
 inline std::size_t
-servingKvDemand(const ServeRequest &req, std::size_t quantum)
+servingKvDemand(const ServeRequest &req)
 {
-    std::size_t tokens =
-        req.prompt.size() + static_cast<std::size_t>(req.maxNewTokens);
-    return (tokens + quantum - 1) / quantum * quantum;
+    return req.prompt.size() + static_cast<std::size_t>(req.maxNewTokens);
 }
 
 /**
@@ -252,19 +249,12 @@ servingKvDemand(const ServeRequest &req, std::size_t quantum)
  * reserved-usage report) must use the same matched length or
  * admission over-commits the pool.
  */
-// NOLINTBEGIN(bugprone-easily-swappable-parameters): (tokens already
-// cached, rounding quantum) are both counts; transposing them fails
-// the admission tests immediately.
 inline std::size_t
-servingKvDemandNet(const ServeRequest &req, std::size_t cachedTokens,
-                   std::size_t quantum)
-// NOLINTEND(bugprone-easily-swappable-parameters)
+servingKvDemandNet(const ServeRequest &req, std::size_t cachedTokens)
 {
     panicIf(cachedTokens >= req.prompt.size() && !req.prompt.empty(),
             "prefix match must leave at least one novel prompt token");
-    std::size_t tokens = req.prompt.size() - cachedTokens +
-                         static_cast<std::size_t>(req.maxNewTokens);
-    return (tokens + quantum - 1) / quantum * quantum;
+    return servingKvDemand(req) - cachedTokens;
 }
 
 /**
@@ -358,22 +348,16 @@ class ContinuousBatcher
      * @param microBatch     Sequences per micro-batch partition.
      * @param kvBudgetTokens Total KV token budget (prompt + generated
      *                       per request summed); 0 = unlimited.
-     * @param pageQuantum    KV allocation granularity in tokens: each
-     *                       request's budget demand rounds up to a
-     *                       multiple of it, matching a page-granular
-     *                       pool where a 1-token sequence still pins
-     *                       whole pages. 1 = exact token accounting.
      * @param headAgeLimit   Rounds the queue head may be passed over
      *                       before younger requests are held back on
      *                       its behalf (and the engine may preempt
      *                       active sequences for it); must be >= 1.
      */
     // NOLINTBEGIN(bugprone-easily-swappable-parameters): budget tuple
-    // (batch size, token budget, quantum, age limit) — all counts;
+    // (batch size, token budget, age limit) — all counts;
     // test_serving pins the argument order.
     ContinuousBatcher(std::size_t microBatch,
                       std::size_t kvBudgetTokens,
-                      std::size_t pageQuantum = 1,
                       std::size_t headAgeLimit = kHeadAgeLimit);
     // NOLINTEND(bugprone-easily-swappable-parameters)
 
@@ -443,7 +427,7 @@ class ContinuousBatcher
 
     /**
      * Install a per-request demand oracle consulted instead of the
-     * default prompt+budget rounding — the engine's hook for prefix-
+     * default prompt+budget demand — the engine's hook for prefix-
      * aware admission, where a request whose prompt prefix is cached
      * only demands its novel tail (servingKvDemandNet against the
      * current cache contents). Pass an empty function to restore the
@@ -464,7 +448,6 @@ class ContinuousBatcher
 
     std::size_t microBatch_;
     std::size_t kvBudgetTokens_;
-    std::size_t pageQuantum_;
     std::size_t headAgeLimit_;
     std::size_t headDeferrals_ = 0;
     std::function<std::size_t(const ServeRequest &)> demandOracle_;

@@ -37,7 +37,7 @@ struct QuantAttnShape
     std::size_t nq, nkv, hd, pageTokens;
     /** Tokens stored quantized (full pages + possibly partial tail;
      *  when openTokens > 0 this is a multiple of pageTokens, the
-     *  invariant QuantizedKvCache maintains). */
+     *  invariant a quantized KvCache maintains). */
     std::size_t quantTokens;
     /** Tokens in the trailing float open page. */
     std::size_t openTokens;

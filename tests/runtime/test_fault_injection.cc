@@ -217,6 +217,11 @@ TEST_P(FaultContainment, FaultedRetiresErrorSurvivorsBitIdentical)
         EXPECT_EQ(errored, fc.roundRows)
             << "a round-scope fault retires its whole co-batch";
     }
+    if (std::string(fc.site) == "kv.alloc") {
+        EXPECT_EQ(errored, 1u)
+            << "a KV append fault is request scope: only its sequence "
+               "retires";
+    }
 
     // The engine keeps serving: a fresh wave after the fault is
     // clean and bit-identical.
@@ -234,13 +239,31 @@ TEST_P(FaultContainment, FaultedRetiresErrorSurvivorsBitIdentical)
 INSTANTIATE_TEST_SUITE_P(
     Sites, FaultContainment,
     ::testing::Values(
-        // kv.alloc checks fire per page allocation (float) or per
-        // token append (quant); weights.load per streamed page;
-        // exec.task per executor task. nth is picked to land after
-        // wave 1 is mid-flight but well before it drains.
-        FaultCase{"kv.alloc", std::nullopt, 10, "kv_float"},
+        // kv.alloc checks fire once per KV append, whatever the
+        // codec; weights.load per streamed page; exec.task per
+        // executor task. nth is picked to land after wave 1 is
+        // mid-flight but well before it drains.
+        //
+        // kv.alloc: wave 1 is admitted in one round and prefilled
+        // layer by layer, each layer appending the four prompts
+        // (4 + 5 + 6 + 7 = 22 tokens) in admission order. Layers 0
+        // and 1 take checks 1-44; in layer 2, requests 10, 11 and 12
+        // take checks 45-59, so check 60 is request 13's first
+        // layer-2 append. Request scope: only request 13 retires, and
+        // the three survivors and wave 2 stay bit-identical. Appends
+        // do not depend on the codec, so all three codecs share it.
+        FaultCase{"kv.alloc", std::nullopt, 60, "kv_float"},
         FaultCase{"kv.alloc", QuantKind::Int8, 60, "kv_int8"},
         FaultCase{"kv.alloc", QuantKind::Int4, 60, "kv_int4"},
+        // The same fault in a decode round, where the DtoH queue
+        // appends (the prefill cases above never reach it). The
+        // prefill takes checks 1-88; decode round 1 (four rows, two
+        // micro-batches) takes 89-104, four per layer in micro-batch
+        // order: Algorithm 2 puts requests 12 and 11 in the first
+        // micro-batch and 13 and 10 in the second. Check 99 is layer
+        // 2's third append, request 13's; it retires alone.
+        FaultCase{"kv.alloc", std::nullopt, 99, "kv_decode_float"},
+        FaultCase{"kv.alloc", QuantKind::Int8, 99, "kv_decode_int8"},
         FaultCase{"weights.load", std::nullopt, 30, "weights_float"},
         FaultCase{"weights.load", QuantKind::Int8, 30, "weights_int8"},
         FaultCase{"weights.load", QuantKind::Int4, 30, "weights_int4"},

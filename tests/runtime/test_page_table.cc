@@ -1,10 +1,11 @@
 /**
- * PageTable unit tests: the shared refcounted ownership layer under
- * both KV caches. Exercised with synthetic storage hooks so the
- * sharing semantics — refcount bumps on attach, copy-on-write of a
- * visible open tail, pinned pages surviving their sequences, typed
- * double-release errors, capacity pressure driving the reclaim hook
- * — are pinned down independently of any real cache storage.
+ * PageTable unit tests: the refcounted ownership layer under the KV
+ * cache. Exercised with synthetic storage hooks so the sharing
+ * semantics — refcount bumps on attach, copy-on-write of a visible
+ * open tail, pinned pages surviving their sequences, typed
+ * double-release errors, token-metered capacity pressure driving the
+ * reclaim hook, one kv.alloc fault check per append — are pinned down
+ * independently of any real cache storage.
  */
 
 #include <gtest/gtest.h>
@@ -61,7 +62,7 @@ struct FakeStore
 TEST(PageTable, AppendOpensPagesAndTracksCounters)
 {
     FakeStore store;
-    PageTable t(2, 1, 4, PageCapacityModel::Blocks, 16, store.hooks());
+    PageTable t(2, 1, 4, 64, store.hooks());
     for (int i = 0; i < 6; ++i) {
         AppendSlot s = t.appendToken(SeqId(0), LayerIdx(0));
         EXPECT_EQ(s.fresh, i % 4 == 0) << i;
@@ -84,7 +85,7 @@ TEST(PageTable, AppendOpensPagesAndTracksCounters)
 TEST(PageTable, AttachSharedBumpsRefcountsAndFreesOnlyOnce)
 {
     FakeStore store;
-    PageTable t(3, 1, 4, PageCapacityModel::Blocks, 16, store.hooks());
+    PageTable t(3, 1, 4, 64, store.hooks());
     for (int i = 0; i < 8; ++i)
         t.appendToken(SeqId(0), LayerIdx(0));
     std::vector<BlockId> blocks(t.streamBlocks(SeqId(0), LayerIdx(0)).begin(),
@@ -111,7 +112,7 @@ TEST(PageTable, AttachSharedBumpsRefcountsAndFreesOnlyOnce)
 TEST(PageTable, AttachSharedRejectsPartialAndNonEmptyStreams)
 {
     FakeStore store;
-    PageTable t(2, 1, 4, PageCapacityModel::Blocks, 16, store.hooks());
+    PageTable t(2, 1, 4, 64, store.hooks());
     for (int i = 0; i < 6; ++i)  // 1 closed page + 2-token open tail
         t.appendToken(SeqId(0), LayerIdx(0));
     std::vector<BlockId> blocks(t.streamBlocks(SeqId(0), LayerIdx(0)).begin(),
@@ -127,7 +128,7 @@ TEST(PageTable, AttachSharedRejectsPartialAndNonEmptyStreams)
 TEST(PageTable, CopyOnWriteFiresOnSharedOpenTail)
 {
     FakeStore store;
-    PageTable t(2, 1, 4, PageCapacityModel::Blocks, 16, store.hooks());
+    PageTable t(2, 1, 4, 64, store.hooks());
     // Build one closed page for seq 0, then pin its open successor
     // via a pin (the "another holder can see it" case without a
     // second stream, since streams can only share closed pages).
@@ -154,7 +155,7 @@ TEST(PageTable, CopyOnWriteFiresOnSharedOpenTail)
 TEST(PageTable, PinSurvivesSequenceAndUnpinIsTypedOnDoubleRelease)
 {
     FakeStore store;
-    PageTable t(2, 1, 4, PageCapacityModel::Blocks, 16, store.hooks());
+    PageTable t(2, 1, 4, 64, store.hooks());
     for (int i = 0; i < 4; ++i)
         t.appendToken(SeqId(0), LayerIdx(0));
     BlockId b = t.streamBlocks(SeqId(0), LayerIdx(0))[0];
@@ -182,7 +183,7 @@ TEST(PageTable, PinSurvivesSequenceAndUnpinIsTypedOnDoubleRelease)
 TEST(PageTable, FreeSequenceErrorsAreTyped)
 {
     FakeStore store;
-    PageTable t(2, 1, 4, PageCapacityModel::Blocks, 16, store.hooks());
+    PageTable t(2, 1, 4, 64, store.hooks());
     try {
         t.freeSequence(SeqId(9));
         FAIL() << "out-of-range freeSequence must throw";
@@ -204,7 +205,7 @@ TEST(PageTable, FreeSequenceErrorsAreTyped)
 TEST(PageTable, ReleaseWhileSharedKeepsOtherStreamIntact)
 {
     FakeStore store;
-    PageTable t(2, 1, 4, PageCapacityModel::Blocks, 16, store.hooks());
+    PageTable t(2, 1, 4, 64, store.hooks());
     for (int i = 0; i < 4; ++i)
         t.appendToken(SeqId(0), LayerIdx(0));
     std::vector<BlockId> blocks(t.streamBlocks(SeqId(0), LayerIdx(0)).begin(),
@@ -223,9 +224,9 @@ TEST(PageTable, ReleaseWhileSharedKeepsOtherStreamIntact)
 TEST(PageTable, CapacityPressureDrivesReclaimThenThrowsTyped)
 {
     FakeStore store;
-    PageTable t(2, 1, 4, PageCapacityModel::Blocks, 2, store.hooks());
+    PageTable t(2, 1, 4, 8, store.hooks());
     for (int i = 0; i < 8; ++i)
-        t.appendToken(SeqId(0), LayerIdx(0));  // exactly the 2-block budget
+        t.appendToken(SeqId(0), LayerIdx(0));  // exactly the 8-token budget
     bool reclaimed = false;
     std::vector<BlockId> cached;
     t.setReclaimHook([&] {
@@ -259,10 +260,10 @@ TEST(PageTable, CapacityPressureDrivesReclaimThenThrowsTyped)
     EXPECT_EQ(t.residentBlocks(), 2u);
 }
 
-TEST(PageTable, TokenModelMetersExactTokens)
+TEST(PageTable, CapacityMetersExactTokens)
 {
     FakeStore store;
-    PageTable t(1, 1, 4, PageCapacityModel::Tokens, 5, store.hooks());
+    PageTable t(1, 1, 4, 5, store.hooks());
     for (int i = 0; i < 5; ++i)
         t.appendToken(SeqId(0), LayerIdx(0));
     EXPECT_THROW(t.appendToken(SeqId(0), LayerIdx(0)), EngineError);
@@ -271,26 +272,79 @@ TEST(PageTable, TokenModelMetersExactTokens)
     EXPECT_EQ(t.residentTokens(), 0u);
 }
 
-TEST(PageTable, AllocFaultInjectionFiresPerBlockInBlocksModel)
+TEST(PageTable, CopyOnWriteChargesTheCopiedPrefix)
 {
+    // Copy-on-write duplicates the open prefix, so the append needs
+    // room for prefix + 1 tokens; without it the append is rejected
+    // before any mutation.
     FakeStore store;
-    PageTable t(1, 1, 4, PageCapacityModel::Blocks, 8, store.hooks());
+    PageTable t(1, 1, 4, 8, store.hooks());
+    for (int i = 0; i < 6; ++i)  // 1 closed page + 2-token open tail
+        t.appendToken(SeqId(0), LayerIdx(0));
+    BlockId open = t.streamBlocks(SeqId(0), LayerIdx(0))[1];
+    t.pin(open);
+    try {
+        t.appendToken(SeqId(0), LayerIdx(0));  // 6 + 2 + 1 > 8
+        FAIL() << "copy-on-write over budget must throw";
+    } catch (const EngineError &e) {
+        EXPECT_EQ(e.code(), ErrorCode::KvExhausted);
+    }
+    EXPECT_EQ(store.copies, 0);
+    EXPECT_EQ(t.streamLen(SeqId(0), LayerIdx(0)), 6u);
+    EXPECT_EQ(t.residentTokens(), 6u);
+    t.checkInvariants();
+
+    t.unpin(open);  // tail private again: appends in place
+    EXPECT_FALSE(t.appendToken(SeqId(0), LayerIdx(0)).copied);
+    EXPECT_EQ(t.residentTokens(), 7u);
+    t.checkInvariants();
+}
+
+TEST(PageTable, AllocFaultInjectionFiresPerAppend)
+{
+    // One kv.alloc check per append, whether or not it opens a page.
+    FakeStore store;
+    PageTable t(1, 1, 4, 0, store.hooks());
     ScopedFault fault("kv.alloc", 2);  // second check fires
     t.appendToken(SeqId(0), LayerIdx(0));  // opens page 1: check #1 passes
-    t.appendToken(SeqId(0), LayerIdx(0));  // within page: no check in Blocks model
-    t.appendToken(SeqId(0), LayerIdx(0));
-    t.appendToken(SeqId(0), LayerIdx(0));
     try {
-        t.appendToken(SeqId(0), LayerIdx(0));  // opens page 2: check #2 fires
+        t.appendToken(SeqId(0), LayerIdx(0));  // within page: check #2 fires
         FAIL() << "armed kv.alloc fault must throw";
     } catch (const EngineError &e) {
         EXPECT_EQ(e.code(), ErrorCode::FaultInjected);
         EXPECT_EQ(e.site(), "kv.alloc");
     }
     EXPECT_EQ(fault.hits(), 1u);
-    EXPECT_EQ(t.streamLen(SeqId(0), LayerIdx(0)), 4u);
+    EXPECT_EQ(t.streamLen(SeqId(0), LayerIdx(0)), 1u);
+    EXPECT_EQ(t.residentTokens(), 1u);
+    t.checkInvariants();
     t.appendToken(SeqId(0), LayerIdx(0));  // one-shot: recovers after firing
-    EXPECT_EQ(t.streamLen(SeqId(0), LayerIdx(0)), 5u);
+    EXPECT_EQ(t.streamLen(SeqId(0), LayerIdx(0)), 2u);
+}
+
+TEST(PageTable, CheckInvariantsHoldsAcrossSharingAndRelease)
+{
+    FakeStore store;
+    PageTable t(3, 2, 4, 0, store.hooks());
+    t.checkInvariants();
+    for (int i = 0; i < 9; ++i)
+        for (std::size_t layer = 0; layer < 2; ++layer)
+            t.appendToken(SeqId(0), LayerIdx(layer));
+    t.checkInvariants();
+    std::vector<BlockId> closed(
+        t.streamBlocks(SeqId(0), LayerIdx(1)).begin(),
+        t.streamBlocks(SeqId(0), LayerIdx(1)).begin() + 2);
+    t.attachShared(SeqId(1), LayerIdx(1), closed);
+    t.pin(closed[0]);
+    t.checkInvariants();
+    t.freeSequence(SeqId(0));
+    t.checkInvariants();
+    t.freeSequence(SeqId(1));
+    t.checkInvariants();
+    EXPECT_EQ(t.residentBlocks(), 1u) << "only the pinned page";
+    t.unpin(closed[0]);
+    t.checkInvariants();
+    EXPECT_EQ(t.residentTokens(), 0u);
 }
 
 } // namespace

@@ -89,7 +89,7 @@ fakePrefill(PageTable &t, std::size_t seq, std::size_t len)
 TEST(PrefixCache, MatchIsPageGranularCappedAndVerified)
 {
     FakeStore store;
-    PageTable t(4, 1, 4, PageCapacityModel::Blocks, 64, store.hooks());
+    PageTable t(4, 1, 4, 256, store.hooks());
     PrefixCache pc(t, /*bytesPerToken=*/8);
 
     std::vector<int> prompt = iotaPrompt(0, 10);
@@ -134,7 +134,7 @@ TEST(PrefixCache, MatchIsPageGranularCappedAndVerified)
 TEST(PrefixCache, InsertIsIdempotentAndKeepsIncumbentPages)
 {
     FakeStore store;
-    PageTable t(4, 1, 4, PageCapacityModel::Blocks, 64, store.hooks());
+    PageTable t(4, 1, 4, 256, store.hooks());
     PrefixCache pc(t, 8);
 
     std::vector<int> prompt = iotaPrompt(0, 9);
@@ -161,7 +161,7 @@ TEST(PrefixCache, InsertIsIdempotentAndKeepsIncumbentPages)
 TEST(PrefixCache, LruEvictsColdestUnreferencedLeafFirst)
 {
     FakeStore store;
-    PageTable t(4, 1, 4, PageCapacityModel::Blocks, 64, store.hooks());
+    PageTable t(4, 1, 4, 256, store.hooks());
     PrefixCache pc(t, 8);
 
     std::vector<int> a = iotaPrompt(0, 9), b = iotaPrompt(100, 9);
@@ -412,8 +412,9 @@ TEST(PrefixServing, PreemptedSharerReleasesOnlyPrivateTail)
     ec.microBatch = 2;
     // Budget 32 request tokens (128 / 4 layers). The warmed cache
     // pins 8 (two sys pages, charged once globally); two sharers net
-    // 12 each (4 novel prompt tokens + 8 generated, page-rounded)
-    // fill the rest, so the late arrival (net 8) starves until the
+    // 12 each (4 novel prompt tokens + 8 generated; exact tokens, and
+    // a page multiple, so page-rounding would give the same) fill the
+    // rest, so the late arrival (net 8) starves until the
     // engine preempts the youngest sharer — which must release only
     // its private tail, not the pinned prefix.
     ec.maxConcurrency = 4;

@@ -1,10 +1,10 @@
 /**
  * Quantized-KV engine tests: with EngineConfig::kvQuant set, the
- * pipelined engine stores KV through QuantizedKvCache and attends via
- * the fused quant kernel. Tokens must exactly match a ReferenceEngine
- * running the same quantization with the same page geometry (the
- * quant analogue of the float EngineEquivalence suite), and the run
- * must allocate no float KV pool.
+ * pipelined engine's KvCache stores closed pages quantized and decode
+ * attends via the fused quant kernel. Tokens must exactly match a
+ * ReferenceEngine running the same quantization with the same page
+ * geometry (the quant analogue of the float EngineEquivalence suite),
+ * and every page must be released once the engine drains.
  */
 
 #include <gtest/gtest.h>

@@ -412,24 +412,6 @@ TEST(ContinuousBatcher, BudgetDefersWithoutDropping)
     EXPECT_EQ(b.pending(), 0u);
 }
 
-TEST(ContinuousBatcher, PageQuantumRoundsDemandUp)
-{
-    // 16-token pages, budget 32 request tokens: two 1-prompt/1-gen
-    // requests each pin a whole page (16), so two fit and the third
-    // defers even though raw token demand (6) is tiny.
-    ContinuousBatcher b(/*microBatch=*/4, /*kvBudgetTokens=*/32,
-                        /*pageQuantum=*/16);
-    for (int i = 0; i < 3; ++i) {
-        ServeRequest r;
-        r.id = i;
-        r.prompt = {1};
-        r.maxNewTokens = 1;
-        b.enqueue(std::move(r));
-    }
-    EXPECT_EQ(b.admit(/*freeSlots=*/4, 0).size(), 2u);
-    EXPECT_EQ(b.pending(), 1u);
-}
-
 TEST(ContinuousBatcher, AgedHeadHoldsBackYoungerArrivals)
 {
     // A large-but-fitting head passed over while smaller later
@@ -478,7 +460,7 @@ TEST(ContinuousBatcher, HeadAgeAdvancesOnlyWhenHeadWasConsidered)
     // considered the head and admitted past it — never rounds that
     // could not admit anyone for lack of a sequence slot.
     ContinuousBatcher b(/*microBatch=*/2, /*kvBudgetTokens=*/20,
-                        /*pageQuantum=*/1, /*headAgeLimit=*/2);
+                        /*headAgeLimit=*/2);
     ServeRequest big;
     big.id = 1;
     big.prompt.assign(20, 1);
@@ -507,7 +489,7 @@ TEST(ContinuousBatcher, HeadAgeAdvancesOnlyWhenHeadWasConsidered)
 TEST(ContinuousBatcher, HeadAgeResetsOnAdmissionAndRemoval)
 {
     ContinuousBatcher b(/*microBatch=*/2, /*kvBudgetTokens=*/20,
-                        /*pageQuantum=*/1, /*headAgeLimit=*/2);
+                        /*headAgeLimit=*/2);
     ServeRequest big;
     big.id = 1;
     big.prompt.assign(20, 1);
@@ -537,41 +519,40 @@ TEST(ContinuousBatcher, HeadAgeResetsOnAdmissionAndRemoval)
     EXPECT_FALSE(b.headAged());
 }
 
-TEST(ContinuousBatcher, DemandOracleOverridesPageRoundedDemand)
+TEST(ContinuousBatcher, DemandOracleOverridesDefaultDemand)
 {
     // A prefix-aware oracle reports net demand (novel tail only);
     // the batcher must budget on it instead of the full prompt, or
     // prefix hits would be deferred as if they were cold.
-    ContinuousBatcher b(/*microBatch=*/2, /*kvBudgetTokens=*/16,
-                        /*pageQuantum=*/4);
+    ContinuousBatcher b(/*microBatch=*/2, /*kvBudgetTokens=*/16);
     ServeRequest r;
     r.id = 7;
     r.prompt.assign(20, 1);
     r.maxNewTokens = 4;  // cold demand 24 > 16: deferred
     b.enqueue(r);
     EXPECT_TRUE(b.admit(2, 0).empty());
-    // 16 of the prompt cached: net demand (4 + 4 -> 8) fits.
+    // 16 of the prompt cached: net demand (4 + 4 = 8) fits.
     b.setDemandOracle([](const ServeRequest &req) {
-        return servingKvDemandNet(req, /*cachedTokens=*/16,
-                                  /*quantum=*/4);
+        return servingKvDemandNet(req, /*cachedTokens=*/16);
     });
     std::vector<ServeRequest> got = b.admit(2, 0);
     ASSERT_EQ(got.size(), 1u);
     EXPECT_EQ(got[0].id, 7);
 }
 
-TEST(Serving, KvDemandNetRoundsNovelTailToQuantum)
+TEST(Serving, KvDemandNetChargesNovelTailPlusBudget)
 {
+    // Exact tokens: the KV store meters tokens, so no page rounding.
     ServeRequest r;
     r.prompt.assign(10, 1);
     r.maxNewTokens = 4;
-    EXPECT_EQ(servingKvDemandNet(r, 0, 4), 16u) << "cold = full";
-    EXPECT_EQ(servingKvDemandNet(r, 0, 4), servingKvDemand(r, 4));
-    EXPECT_EQ(servingKvDemandNet(r, 8, 4), 8u) << "2 novel + 4 gen";
-    EXPECT_EQ(servingKvDemandNet(r, 8, 1), 6u) << "unrounded";
+    EXPECT_EQ(servingKvDemand(r), 14u);
+    EXPECT_EQ(servingKvDemandNet(r, 0), servingKvDemand(r))
+        << "cold = full";
+    EXPECT_EQ(servingKvDemandNet(r, 8), 6u) << "2 novel + 4 gen";
     // A "match" covering the whole prompt is a contract violation:
     // the cache caps matches one token short of the prompt.
-    EXPECT_THROW(servingKvDemandNet(r, 10, 4), PanicError);
+    EXPECT_THROW(servingKvDemandNet(r, 10), PanicError);
 }
 
 TEST(ContinuousBatcher, HeadOfLineAdmittedWhenItFitsTotalBudget)
