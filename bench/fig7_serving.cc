@@ -156,13 +156,15 @@ runStatic(const ModelWeights &w, const Trace &tr)
         while (next < tr.requests.size() &&
                tr.arrival[next] <= elapsedSec(t0))
             batch.push_back(next++);
-        std::vector<std::vector<int>> prompts;
         int gen_len = 0;
-        for (std::size_t i : batch) {
-            prompts.push_back(tr.requests[i].prompt);
+        for (std::size_t i : batch)
             gen_len = std::max(gen_len, tr.requests[i].maxNewTokens);
+        for (std::size_t i : batch) {
+            ServeRequest r = tr.requests[i];
+            r.maxNewTokens = gen_len;  // pads every request
+            eng.submit(std::move(r));
         }
-        eng.generate(prompts, gen_len);  // pads every request
+        eng.drain();
         double now = elapsedSec(t0);
         for (std::size_t i : batch)
             done[i] = now;

@@ -4,14 +4,13 @@
  * requests through the CGOPipe pipelined engine's request-level API
  * (submit / step / drain — continuous batching with per-request
  * generation budgets), and cross-check every output against the
- * sequential reference engine. The legacy batch generate()
- * convenience is shown last. (Stop tokens are exercised in
+ * sequential reference engine. (Stop tokens are exercised in
  * tests/runtime/test_serving.cc.)
  *
- * Section 7 demos the fault-tolerant request lifecycle:
+ * Section 6 demos the fault-tolerant request lifecycle:
  * cancellation, per-request deadlines, and an injected mid-flight
  * fault that retires one request with FinishReason::Error while the
- * engine keeps serving the rest (docs/error_model.md). Section 8
+ * engine keeps serving the rest (docs/error_model.md). Section 7
  * demos prefix caching: requests sharing a system prompt attach its
  * cached KV pages and prefill only their novel tails, bit-identical
  * to a cold run (docs/kv_cache.md).
@@ -130,20 +129,7 @@ main()
                      : "FAIL — outputs diverge")
               << "\n";
 
-    // 6. The legacy batch call still exists as a thin wrapper over
-    //    the request API: uniform genLen, results in prompt order.
-    std::vector<std::vector<int>> prompts;
-    for (const ServeRequest &r : requests)
-        prompts.push_back(r.prompt);
-    auto batch = engine.generate(prompts, /*genLen=*/8);
-    auto batch_ref = ref.generate(prompts, /*genLen=*/8);
-    bool batch_ok = true;
-    for (std::size_t s = 0; s < prompts.size(); ++s)
-        batch_ok &= batch[s].tokens == batch_ref[s].tokens;
-    std::cout << "legacy batch generate(): "
-              << (batch_ok ? "PASS" : "FAIL") << "\n";
-
-    // 7. Request lifecycle and fault tolerance. Three requests: one
+    // 6. Request lifecycle and fault tolerance. Three requests: one
     //    is cancelled mid-generation, one carries a deadline that
     //    expires, and one runs into an injected KV-allocation fault —
     //    each retires with its own finish reason while a fourth,
@@ -208,7 +194,7 @@ main()
                                : "FAIL")
               << "\n";
 
-    // 8. Prefix caching: requests sharing a system prompt reuse its
+    // 7. Prefix caching: requests sharing a system prompt reuse its
     //    closed KV pages instead of re-prefilling them. A fresh
     //    engine with cfg.prefixCache on serves one warmup request
     //    (populating the cache), then a batch of sharers — each
@@ -263,5 +249,5 @@ main()
                             : "FAIL")
               << "\n";
     prefix_ok &= warm.kvUsedPages() == 0 && warm.kvCachedPages() > 0;
-    return ok && batch_ok && lifecycle_ok && prefix_ok ? 0 : 1;
+    return ok && lifecycle_ok && prefix_ok ? 0 : 1;
 }

@@ -81,12 +81,6 @@ struct PipelinedEngine::StepState
      *  dense pages ahead, and each layer's routed experts are
      *  fetched after its router runs. */
     bool gated = false;
-    /** The PostAttn routing buffer: one row per token of the
-     *  micro-batch being post-processed. Route writes it on the Gpu
-     *  queue; in a gated round FetchExperts reads it on the HtoD queue
-     *  and Ffn on the Gpu queue, ordered only by the Route -> Fetch ->
-     *  Ffn events (docs/concurrency.md). */
-    std::vector<TokenRouting> routing;
 
     // Pipeline events (fresh every round; rounds are synced).
     std::vector<EventPtr> weightsReady;  ///< per layer
@@ -165,15 +159,7 @@ PipelinedEngine::PipelinedEngine(const ModelWeights &weights,
         });
     }
 
-    std::size_t mb = cfg_.microBatch;
-    gpuNormB_.assign(mb * h1_, 0.0f);
-    gpuProjB_.assign(mb * h1_, 0.0f);
-    gpuRlB_.assign(mb * c.ne, 0.0f);
-    gpuFfnB_.assign(mb * h1_, 0.0f);
-    gpuQB_.assign(mb * qDim_, 0.0f);
-    gpuKB_.assign(mb * kvDim_, 0.0f);
-    gpuVB_.assign(mb * kvDim_, 0.0f);
-    gpuLogitsB_.assign(mb * vocab_, 0.0f);
+    growGpuScratch(cfg_.microBatch, cfg_.microBatch);
 
     st_ = std::make_unique<StepState>();
     exec_ = std::make_unique<StreamExecutor>();
@@ -296,6 +282,24 @@ PipelinedEngine::freeSlotKv(SlotIdx slot)
 }
 
 void
+PipelinedEngine::growGpuScratch(std::size_t rows, std::size_t sampled)
+{
+    auto grow = [](std::vector<float> &b, std::size_t floats) {
+        if (b.size() < floats)
+            b.resize(floats);
+    };
+    rows = std::max(rows, sampled);  // Sample norms into gpuNormB_
+    grow(gpuNormB_, rows * h1_);
+    grow(gpuProjB_, rows * h1_);
+    grow(gpuRlB_, rows * w_.cfg.ne);
+    grow(gpuFfnB_, rows * h1_);
+    grow(gpuQB_, rows * qDim_);
+    grow(gpuKB_, rows * kvDim_);
+    grow(gpuVB_, rows * kvDim_);
+    grow(gpuLogitsB_, sampled * vocab_);
+}
+
+void
 PipelinedEngine::ensureAttnScratch(std::size_t ctx)
 {
     if (ctx <= scratchCtx_)
@@ -362,18 +366,23 @@ PipelinedEngine::maybeRetire(SlotIdx slot,
     // Early retirement: the pages go back to the pool *now*, while
     // the co-batch keeps decoding, so a freed slot can take the next
     // queued request at the following round's admission.
-    freeSlotKv(slot);
     {
         MutexLock lk(frontMu_);
         activeIds_.erase(a.req.id);
     }
+    releaseSlot(slot);
+    finished.push_back(std::move(r));
+}
+
+void
+PipelinedEngine::releaseSlot(SlotIdx slot)
+{
+    freeSlotKv(slot);
     slots_[slot.value()].reset();
     freeSlots_.insert(
         std::lower_bound(freeSlots_.begin(), freeSlots_.end(),
-                         slot.value(),
-                         std::greater<std::size_t>()),
+                         slot.value(), std::greater<std::size_t>()),
         slot.value());
-    finished.push_back(std::move(r));
 }
 
 void
@@ -388,17 +397,11 @@ PipelinedEngine::retireTerminal(SlotIdx slot, FinishReason reason,
         a.req, std::move(tokens), reason, std::move(errorMessage),
         a.prefillSeconds, a.decodeSeconds);
     r.preemptions = a.preemptions;
-    freeSlotKv(slot);
     {
         MutexLock lk(frontMu_);
         activeIds_.erase(a.req.id);
     }
-    slots_[slot.value()].reset();
-    freeSlots_.insert(
-        std::lower_bound(freeSlots_.begin(), freeSlots_.end(),
-                         slot.value(),
-                         std::greater<std::size_t>()),
-        slot.value());
+    releaseSlot(slot);
     {
         MutexLock lk(faultMu_);
         slotError_[slot.value()].clear();
@@ -507,12 +510,7 @@ PipelinedEngine::preemptYoungest()
     panicIf(req.maxNewTokens <= 0,
             "preempting a request that should have retired");
 
-    freeSlotKv(SlotIdx(victim));
-    slots_[victim].reset();
-    freeSlots_.insert(
-        std::lower_bound(freeSlots_.begin(), freeSlots_.end(), victim,
-                         std::greater<std::size_t>()),
-        victim);
+    releaseSlot(SlotIdx(victim));
     resume_[req.id] = std::move(rs);
     ++preemptions_;
     {
@@ -660,7 +658,7 @@ PipelinedEngine::prefillSlots(const std::vector<SlotIdx> &slots)
     // at most prompt-1 tokens), so the bootstrap below always has the
     // last prompt position's hidden state to sample from.
     prefillHidden_.assign(n, {});
-    std::size_t max_prompt = 0;
+    std::size_t max_prompt = 0, max_tail = 0;
     for (std::size_t a = 0; a < n; ++a) {
         const ActiveSeq &as = *slots_[slots[a].value()];
         const std::vector<int> &prompt = as.req.prompt;
@@ -668,6 +666,7 @@ PipelinedEngine::prefillSlots(const std::vector<SlotIdx> &slots)
         // tail position p spans prefix + p + 1 positions.
         max_prompt = std::max(max_prompt, prompt.size());
         std::size_t tail = prompt.size() - as.prefixLen;
+        max_tail = std::max(max_tail, tail);
         prefillHidden_[a].resize(tail * h1_);
         for (std::size_t t = 0; t < tail; ++t)
             std::memcpy(
@@ -689,18 +688,12 @@ PipelinedEngine::prefillSlots(const std::vector<SlotIdx> &slots)
                                cfg.headDim, cfg_.kvPageTokens),
             0.0f);
     }
-    // Reserve the per-layer working buffers once to the longest
-    // prompt: the per-seq resizes inside the zigzag tasks then never
-    // reallocate, and the buffers persist across layers and rounds.
-    pfNorm_.reserve(max_prompt * h1_);
-    pfQ_.reserve(max_prompt * qDim_);
-    pfK_.reserve(max_prompt * kvDim_);
-    pfV_.reserve(max_prompt * kvDim_);
-    pfAttn_.reserve(max_prompt * qDim_);
-    pfProj_.reserve(max_prompt * h1_);
-    pfRl_.reserve(max_prompt * cfg.ne);
-    pfFfn_.reserve(max_prompt * h1_);
-    pfRouting_.reserve(max_prompt);
+    // The layer math runs one whole tail at a time and the bootstrap
+    // samples every admitted sequence at once; the decode round that
+    // follows reuses the same scratch after this prefill's sync.
+    growGpuScratch(max_tail, n);
+    if (prefillAttn_.size() < max_tail * qDim_)
+        prefillAttn_.resize(max_tail * qDim_);
 
     // Zigzag layer-by-layer prefill (§4): load layer weights, then run
     // every admitted sequence's tokens through that layer on the GPU
@@ -721,160 +714,13 @@ PipelinedEngine::prefillSlots(const std::vector<SlotIdx> &slots)
             deps.push_back(compute_done[li - 1]);
         compute_done[li] = exec_->submit(
             ResourceKind::Gpu, std::move(deps),
-            [this, li, admitted] {
-                const ModelConfig &c = w_.cfg;
-                // Whole-sequence batched projections instead of
-                // per-token GEMV chains; only the attention/KV-append
-                // walk stays per token (causal order). The batched
-                // GEMMs, the MoE FFN and the fused quant attention run
-                // on the Gpu pool. Per-token arithmetic is unchanged,
-                // so tokens stay bit-identical to the reference
-                // engine.
-                ThreadPool *pool = gpuPool_.get();
+            [this, layer = LayerIdx(li), admitted] {
+                // Whole-tail batched projections instead of per-token
+                // GEMV chains; only the attention/KV-append walk stays
+                // per token (causal order). Per-token arithmetic is
+                // unchanged, so tokens stay bit-identical to the
+                // reference engine.
                 KvViewStorage view;
-                // Working buffers are engine members, reserved to the
-                // longest prompt in prefillSlots(); only this queue's
-                // serialized tasks touch them, so the per-seq resizes
-                // below never reallocate.
-                std::vector<float> &norm_all = pfNorm_;
-                std::vector<float> &q_all = pfQ_;
-                std::vector<float> &k_all = pfK_;
-                std::vector<float> &v_all = pfV_;
-                std::vector<float> &attn_all = pfAttn_;
-                std::vector<float> &proj_all = pfProj_;
-                std::vector<float> &rl_all = pfRl_;
-                std::vector<float> &ffn_all = pfFfn_;
-                std::vector<TokenRouting> &routing = pfRouting_;
-                auto runSeq = [&](std::size_t a, SlotIdx slot) {
-                    // len counts only the novel tail; an attached
-                    // prefix (prefixLen > 0) already sits in the KV
-                    // cache, so this walk starts mid-context.
-                    std::size_t len =
-                        prefillHidden_[a].size() / h1_;
-                    std::size_t prefix =
-                        slots_[slot.value()]->prefixLen;
-                    float *xs = prefillHidden_[a].data();
-                    norm_all.resize(len * h1_);
-                    q_all.resize(len * qDim_);
-                    k_all.resize(len * kvDim_);
-                    v_all.resize(len * kvDim_);
-                    attn_all.resize(len * qDim_);
-                    proj_all.resize(len * h1_);
-                    rl_all.resize(len * c.ne);
-                    ffn_all.resize(len * h1_);
-                    for (std::size_t t = 0; t < len; ++t)
-                        rmsNorm(xs + t * h1_,
-                                store_.tensor(LayerIdx(li), "attn_norm"),
-                                norm_all.data() + t * h1_, h1_);
-                    matmulTransposedB(norm_all.data(),
-                                      store_.tensor(LayerIdx(li), "wq"),
-                                      q_all.data(), len, h1_,
-                                      qDim_, pool);
-                    matmulTransposedB(norm_all.data(),
-                                      store_.tensor(LayerIdx(li), "wk"),
-                                      k_all.data(), len, h1_,
-                                      kvDim_, pool);
-                    matmulTransposedB(norm_all.data(),
-                                      store_.tensor(LayerIdx(li), "wv"),
-                                      v_all.data(), len, h1_,
-                                      kvDim_, pool);
-                    if (cfg_.kvQuant && prefix == 0) {
-                        // Append the whole prompt, then run the fused
-                        // causal prefill kernel once: each closed
-                        // page dequantizes once per KV head instead
-                        // of once per later position, and the kernel
-                        // replays the per-token append walk bit-for-
-                        // bit (the reference engine's per-token fused
-                        // decode stays the oracle for this).
-                        for (std::size_t t = 0; t < len; ++t)
-                            kv_.append(seqOf(slot), LayerIdx(li),
-                                       k_all.data() + t * kvDim_,
-                                       v_all.data() + t * kvDim_);
-                        // KV heads fan across the pool, preserving
-                        // the per-position bit-exact walk.
-                        gqaPrefillAttentionQuantFused(
-                            q_all.data(), k_all.data(), v_all.data(),
-                            len, c.nq,
-                            kv_.makeQuantView(seqOf(slot),
-                                              LayerIdx(li)),
-                            attn_all.data(), scale_,
-                            cpuPrefillScratch_, pool);
-                    } else if (cfg_.kvQuant) {
-                        // Prefix hit: the fused prefill kernel's walk
-                        // assumes it replays the cache from empty, so
-                        // a mid-context prefill runs the per-token
-                        // fused decode walk instead — append one
-                        // position, attend over the grown view. This
-                        // is the exact walk the fused kernel is
-                        // bit-identical to, just starting at
-                        // `prefix`, so hot tokens match cold ones.
-                        for (std::size_t t = 0; t < len; ++t) {
-                            kv_.append(seqOf(slot), LayerIdx(li),
-                                       k_all.data() + t * kvDim_,
-                                       v_all.data() + t * kvDim_);
-                            gqaDecodeAttentionQuantFused(
-                                q_all.data() + t * qDim_, c.nq,
-                                kv_.makeQuantView(seqOf(slot),
-                                                  LayerIdx(li)),
-                                attn_all.data() + t * qDim_,
-                                scale_, cpuAttnScratch_);
-                        }
-                    } else {
-                        for (std::size_t t = 0; t < len; ++t) {
-                            kv_.append(seqOf(slot), LayerIdx(li),
-                                       k_all.data() + t * kvDim_,
-                                       v_all.data() + t * kvDim_);
-                            // The page-pointer list only changes when
-                            // an append opens a new page (pages never
-                            // move while resident); between
-                            // boundaries just advance the context
-                            // length instead of rebuilding the view.
-                            // Keyed off the cache's actual length
-                            // (not t) so a prefill over a non-empty
-                            // cache — prefix reuse, say — stays
-                            // correct; t == 0 still always builds
-                            // this (slot, layer)'s first view.
-                            std::size_t ctx_len = kv_.contextLen(
-                                seqOf(slot), LayerIdx(li));
-                            if (t == 0 ||
-                                (ctx_len - 1) % cfg_.kvPageTokens == 0)
-                                kv_.makeView(seqOf(slot),
-                                             LayerIdx(li), view);
-                            else
-                                view.view.contextLen = ctx_len;
-                            gqaDecodeAttention(
-                                q_all.data() + t * qDim_, c.nq,
-                                view.view,
-                                attn_all.data() + t * qDim_,
-                                scale_, cpuAttnScratch_);
-                        }
-                    }
-                    matmulTransposedB(attn_all.data(),
-                                      store_.tensor(LayerIdx(li), "wo"),
-                                      proj_all.data(), len, qDim_,
-                                      h1_, pool);
-                    for (std::size_t t = 0; t < len; ++t) {
-                        accumulate(xs + t * h1_,
-                                   proj_all.data() + t * h1_, h1_);
-                        rmsNorm(xs + t * h1_,
-                                store_.tensor(LayerIdx(li), "ffn_norm"),
-                                norm_all.data() + t * h1_, h1_);
-                    }
-                    matmulTransposedB(norm_all.data(),
-                                      store_.tensor(LayerIdx(li), "router"),
-                                      rl_all.data(), len, h1_, c.ne,
-                                      pool);
-                    routing.resize(len);
-                    for (std::size_t t = 0; t < len; ++t)
-                        routing[t] = routeTopK(
-                            {rl_all.data() + t * c.ne, c.ne}, c.k);
-                    moeFfnForward(norm_all.data(), routing,
-                                  store_.resolver(LayerIdx(li)), len, h1_,
-                                  c.h2, ffn_all.data(), pool);
-                    for (std::size_t t = 0; t < len; ++t)
-                        accumulate(xs + t * h1_,
-                                   ffn_all.data() + t * h1_, h1_);
-                };
                 for (std::size_t a = 0; a < admitted.size(); ++a) {
                     SlotIdx slot = admitted[a];
                     // Request-scope fault containment: a fault in
@@ -888,7 +734,12 @@ PipelinedEngine::prefillSlots(const std::vector<SlotIdx> &slots)
                     if (slotFaulted(slot))
                         continue;
                     try {
-                        runSeq(a, slot);
+                        float *x = prefillHidden_[a].data();
+                        std::size_t len = prefillHidden_[a].size() / h1_;
+                        preAttn(layer, x, len);
+                        prefillAttention(layer, slot, len, view);
+                        route(layer, prefillAttn_.data(), x, len);
+                        ffn(layer, x, len);
                     } catch (const FatalError &e) {
                         noteSlotFault(slot, e.what());
                     }
@@ -897,38 +748,77 @@ PipelinedEngine::prefillSlots(const std::vector<SlotIdx> &slots)
     }
 
     // Bootstrap: sample each admitted request's first generated token
-    // from its prompt's last hidden state. The normed rows pool into
-    // ONE lmHead GEMM (bit-identical per row to the m=1 GEMVs this
-    // replaces).
-    exec_->submit(
-        ResourceKind::Gpu, {compute_done[cfg.l - 1]},
-        [this, admitted] {
-            std::size_t n = admitted.size();
-            bootNorm_.resize(n * h1_);
-            bootLogits_.resize(n * vocab_);
-            for (std::size_t a = 0; a < n; ++a) {
-                std::size_t len = prefillHidden_[a].size() / h1_;
-                rmsNorm(prefillHidden_[a].data() + (len - 1) * h1_,
-                        w_.finalNorm.data(),
-                        bootNorm_.data() + a * h1_, h1_);
-            }
-            matmulTransposedB(bootNorm_.data(), w_.lmHead.data(),
-                              bootLogits_.data(), n, h1_, vocab_,
-                              gpuPool_.get());
-            for (std::size_t a = 0; a < n; ++a) {
-                // A faulted sequence's hidden state is garbage (its
-                // prefill was cut short); it retires with Error
-                // after sync, so don't sample a token for it.
-                if (slotFaulted(admitted[a]))
-                    continue;
-                int next = static_cast<int>(
-                    argmax({bootLogits_.data() + a * vocab_,
-                            vocab_}));
-                ActiveSeq &as = *slots_[admitted[a].value()];
-                as.tokens.push_back(next);
-                as.next = next;
-            }
-        });
+    // from its prompt's last hidden state.
+    exec_->submit(ResourceKind::Gpu, {compute_done[cfg.l - 1]},
+                  [this, admitted] {
+                      std::vector<const float *> rows;
+                      rows.reserve(admitted.size());
+                      for (const std::vector<float> &x : prefillHidden_)
+                          rows.push_back(x.data() + x.size() - h1_);
+                      sample(rows, admitted.data());
+                  });
+}
+
+void
+PipelinedEngine::prefillAttention(LayerIdx layer, SlotIdx slot,
+                                  std::size_t len, KvViewStorage &view)
+{
+    // len counts only the novel tail; an attached prefix
+    // (prefixLen > 0) already sits in the KV cache, so this walk
+    // starts mid-context.
+    const ModelConfig &c = w_.cfg;
+    SeqId seq = seqOf(slot);
+    const float *q = gpuQB_.data();
+    const float *k = gpuKB_.data();
+    const float *v = gpuVB_.data();
+    float *attn = prefillAttn_.data();
+    if (cfg_.kvQuant && slots_[slot.value()]->prefixLen == 0) {
+        // Append the whole prompt, then run the fused causal prefill
+        // kernel once: each closed page dequantizes once per KV head
+        // instead of once per later position, and the kernel replays
+        // the per-token append walk bit-for-bit (the reference
+        // engine's per-token fused decode stays the oracle for this).
+        // KV heads fan across the Gpu pool.
+        for (std::size_t t = 0; t < len; ++t)
+            kv_.append(seq, layer, k + t * kvDim_, v + t * kvDim_);
+        gqaPrefillAttentionQuantFused(q, k, v, len, c.nq,
+                                      kv_.makeQuantView(seq, layer),
+                                      attn, scale_, cpuPrefillScratch_,
+                                      gpuPool_.get());
+    } else if (cfg_.kvQuant) {
+        // Prefix hit: the fused prefill kernel's walk assumes it
+        // replays the cache from empty, so a mid-context prefill runs
+        // the per-token fused decode walk instead — append one
+        // position, attend over the grown view. This is the exact
+        // walk the fused kernel is bit-identical to, just starting at
+        // the prefix, so hot tokens match cold ones.
+        for (std::size_t t = 0; t < len; ++t) {
+            kv_.append(seq, layer, k + t * kvDim_, v + t * kvDim_);
+            gqaDecodeAttentionQuantFused(q + t * qDim_, c.nq,
+                                         kv_.makeQuantView(seq, layer),
+                                         attn + t * qDim_, scale_,
+                                         cpuAttnScratch_);
+        }
+    } else {
+        for (std::size_t t = 0; t < len; ++t) {
+            kv_.append(seq, layer, k + t * kvDim_, v + t * kvDim_);
+            // The page-pointer list only changes when an append opens
+            // a new page (pages never move while resident); between
+            // boundaries just advance the context length instead of
+            // rebuilding the view. Keyed off the cache's actual length
+            // (not t) so a prefill over a non-empty cache — prefix
+            // reuse, say — stays correct; t == 0 still always builds
+            // this (slot, layer)'s first view.
+            std::size_t ctx_len = kv_.contextLen(seq, layer);
+            if (t == 0 || (ctx_len - 1) % cfg_.kvPageTokens == 0)
+                kv_.makeView(seq, layer, view);
+            else
+                view.view.contextLen = ctx_len;
+            gqaDecodeAttention(q + t * qDim_, c.nq, view.view,
+                               attn + t * qDim_, scale_,
+                               cpuAttnScratch_);
+        }
+    }
 }
 
 void
@@ -1077,26 +967,9 @@ PipelinedEngine::runDecodeChains(StepState &st)
         EventPtr pre = exec_->submit(
             ResourceKind::Gpu, std::move(deps), [this, &st, i, j] {
                 std::size_t n = st.ubSize(j);
-                // Batched QKV projection across the micro-batch (one
-                // GEMM per weight instead of one GEMV per sequence),
-                // then interleave rows into the [q|k|v] offload
-                // layout.
-                for (std::size_t r = 0; r < n; ++r)
-                    rmsNorm(st.xGpu[j].data() + r * h1_,
-                            store_.tensor(LayerIdx(i), "attn_norm"),
-                            gpuNormB_.data() + r * h1_, h1_);
-                matmulTransposedB(gpuNormB_.data(),
-                                  store_.tensor(LayerIdx(i), "wq"),
-                                  gpuQB_.data(), n, h1_, qDim_,
-                                  gpuPool_.get());
-                matmulTransposedB(gpuNormB_.data(),
-                                  store_.tensor(LayerIdx(i), "wk"),
-                                  gpuKB_.data(), n, h1_, kvDim_,
-                                  gpuPool_.get());
-                matmulTransposedB(gpuNormB_.data(),
-                                  store_.tensor(LayerIdx(i), "wv"),
-                                  gpuVB_.data(), n, h1_, kvDim_,
-                                  gpuPool_.get());
+                // PreAttn over the micro-batch, then interleave rows
+                // into the [q|k|v] offload layout.
+                preAttn(LayerIdx(i), st.xGpu[j].data(), n);
                 for (std::size_t r = 0; r < n; ++r) {
                     float *qkv = st.qkvGpu[j].data() + r * qkvDim_;
                     std::memcpy(qkv, gpuQB_.data() + r * qDim_,
@@ -1172,6 +1045,19 @@ PipelinedEngine::runDecodeChains(StepState &st)
                     st.attnCpu[j].data(), qDim_, scale_,
                     attnPool_.get(), cpuBatchScratch_);
             });
+    };
+    // Ffn(i, j), and on the last layer the round's token for every
+    // row of the micro-batch.
+    auto ffn_task = [this, &st, layers](std::size_t i, std::size_t j) {
+        std::size_t n = st.ubSize(j);
+        float *x = st.xGpu[j].data();
+        ffn(LayerIdx(i), x, n);
+        if (i + 1 < layers)
+            return;
+        std::vector<const float *> rows(n);
+        for (std::size_t r = 0; r < n; ++r)
+            rows[r] = x + r * h1_;
+        sample(rows, st.rowSlot.data() + st.ubStart[j]);
     };
     auto pump = [&](std::size_t up_to) {
         while (next_chain < total && next_chain <= up_to)
@@ -1267,13 +1153,16 @@ PipelinedEngine::runDecodeChains(StepState &st)
             // the round reads at most rows * k experts per layer.
             // Ffn is the next Gpu task after Route, so the normed
             // rows Route leaves in gpuNormB_ are still there.
-            EventPtr route = exec_->submit(
+            EventPtr routed_ev = exec_->submit(
                 ResourceKind::Gpu, std::move(post_deps),
-                [this, &st, i, j] { postRoute(st, LayerIdx(i), j); });
+                [this, &st, i, j] {
+                    route(LayerIdx(i), st.attnGpu[j].data(),
+                          st.xGpu[j].data(), st.ubSize(j));
+                });
             EventPtr fetch = exec_->submit(
-                ResourceKind::HtoD, {route}, [this, &st, i] {
+                ResourceKind::HtoD, {routed_ev}, [this, i] {
                     std::vector<ExpertIdx> routed;
-                    for (const TokenRouting &r : st.routing)
+                    for (const TokenRouting &r : routing_)
                         for (int e : r.experts)
                             routed.push_back(ExpertIdx(e));
                     std::sort(routed.begin(), routed.end());
@@ -1283,15 +1172,15 @@ PipelinedEngine::runDecodeChains(StepState &st)
                     for (ExpertIdx e : routed)
                         store_.loadExpert(LayerIdx(i), e, te_);
                 });
-            post = exec_->submit(
-                ResourceKind::Gpu, {fetch},
-                [this, &st, i, j] { postFfn(st, LayerIdx(i), j); });
+            post = exec_->submit(ResourceKind::Gpu, {fetch},
+                                 [ffn_task, i, j] { ffn_task(i, j); });
         } else {
             post = exec_->submit(
                 ResourceKind::Gpu, std::move(post_deps),
-                [this, &st, i, j] {
-                    postRoute(st, LayerIdx(i), j);
-                    postFfn(st, LayerIdx(i), j);
+                [this, &st, ffn_task, i, j] {
+                    route(LayerIdx(i), st.attnGpu[j].data(),
+                          st.xGpu[j].data(), st.ubSize(j));
+                    ffn_task(i, j);
                 });
         }
 
@@ -1304,54 +1193,67 @@ PipelinedEngine::runDecodeChains(StepState &st)
 }
 
 void
-PipelinedEngine::postRoute(StepState &st, LayerIdx layer, std::size_t ub)
+PipelinedEngine::preAttn(LayerIdx layer, const float *x, std::size_t n)
 {
-    const ModelConfig &c = w_.cfg;
-    std::size_t n = st.ubSize(ub);
-    // Batched O projection and router across the micro-batch;
-    // per-token arithmetic matches the reference engine's m=1 calls
-    // bit-for-bit.
-    matmulTransposedB(st.attnGpu[ub].data(), store_.tensor(layer, "wo"),
-                      gpuProjB_.data(), n, qDim_, h1_, gpuPool_.get());
-    for (std::size_t r = 0; r < n; ++r) {
-        float *x = st.xGpu[ub].data() + r * h1_;
-        accumulate(x, gpuProjB_.data() + r * h1_, h1_);
-        rmsNorm(x, store_.tensor(layer, "ffn_norm"),
-                gpuNormB_.data() + r * h1_, h1_);
-    }
-    matmulTransposedB(gpuNormB_.data(), store_.tensor(layer, "router"),
-                      gpuRlB_.data(), n, h1_, c.ne, gpuPool_.get());
-    st.routing.resize(n);
+    // Batched projections over the rows (one GEMM per weight instead
+    // of one GEMV per row); per-row arithmetic matches the reference
+    // engine's m=1 calls bit-for-bit.
+    const float *gain = store_.tensor(layer, "attn_norm");
     for (std::size_t r = 0; r < n; ++r)
-        st.routing[r] = routeTopK({gpuRlB_.data() + r * c.ne, c.ne}, c.k);
+        rmsNorm(x + r * h1_, gain, gpuNormB_.data() + r * h1_, h1_);
+    matmulTransposedB(gpuNormB_.data(), store_.tensor(layer, "wq"),
+                      gpuQB_.data(), n, h1_, qDim_, gpuPool_.get());
+    matmulTransposedB(gpuNormB_.data(), store_.tensor(layer, "wk"),
+                      gpuKB_.data(), n, h1_, kvDim_, gpuPool_.get());
+    matmulTransposedB(gpuNormB_.data(), store_.tensor(layer, "wv"),
+                      gpuVB_.data(), n, h1_, kvDim_, gpuPool_.get());
 }
 
 void
-PipelinedEngine::postFfn(StepState &st, LayerIdx layer, std::size_t ub)
+PipelinedEngine::route(LayerIdx layer, const float *attn, float *x,
+                       std::size_t n)
 {
     const ModelConfig &c = w_.cfg;
-    std::size_t n = st.ubSize(ub);
-    moeFfnForward(gpuNormB_.data(), st.routing, store_.resolver(layer), n,
+    matmulTransposedB(attn, store_.tensor(layer, "wo"), gpuProjB_.data(),
+                      n, qDim_, h1_, gpuPool_.get());
+    const float *gain = store_.tensor(layer, "ffn_norm");
+    for (std::size_t r = 0; r < n; ++r) {
+        accumulate(x + r * h1_, gpuProjB_.data() + r * h1_, h1_);
+        rmsNorm(x + r * h1_, gain, gpuNormB_.data() + r * h1_, h1_);
+    }
+    matmulTransposedB(gpuNormB_.data(), store_.tensor(layer, "router"),
+                      gpuRlB_.data(), n, h1_, c.ne, gpuPool_.get());
+    routing_.resize(n);
+    for (std::size_t r = 0; r < n; ++r)
+        routing_[r] = routeTopK({gpuRlB_.data() + r * c.ne, c.ne}, c.k);
+}
+
+void
+PipelinedEngine::ffn(LayerIdx layer, float *x, std::size_t n)
+{
+    const ModelConfig &c = w_.cfg;
+    moeFfnForward(gpuNormB_.data(), routing_, store_.resolver(layer), n,
                   h1_, c.h2, gpuFfnB_.data(), gpuPool_.get());
     for (std::size_t r = 0; r < n; ++r)
-        accumulate(st.xGpu[ub].data() + r * h1_,
-                   gpuFfnB_.data() + r * h1_, h1_);
-    if (layer.value() + 1 < c.l)
-        return;
-    // Last layer: batched lmHead sampling — one micro-batch-wide GEMM
-    // instead of per-row m=1 GEMVs. The GEMM's per-row arithmetic is
-    // m-independent, so every row's logits (and its argmax token) are
-    // bit-identical to the per-row calls this replaces.
+        accumulate(x + r * h1_, gpuFfnB_.data() + r * h1_, h1_);
+}
+
+void
+PipelinedEngine::sample(const std::vector<const float *> &rows,
+                        const SlotIdx *slots)
+{
+    std::size_t n = rows.size();
     for (std::size_t r = 0; r < n; ++r)
-        rmsNorm(st.xGpu[ub].data() + r * h1_, w_.finalNorm.data(),
-                gpuNormB_.data() + r * h1_, h1_);
+        rmsNorm(rows[r], w_.finalNorm.data(), gpuNormB_.data() + r * h1_,
+                h1_);
     matmulTransposedB(gpuNormB_.data(), w_.lmHead.data(),
                       gpuLogitsB_.data(), n, h1_, vocab_, gpuPool_.get());
     for (std::size_t r = 0; r < n; ++r) {
-        SlotIdx slot = st.rowSlot[st.ubStart[ub] + r];
+        if (slotFaulted(slots[r]))
+            continue;
         int next = static_cast<int>(
             argmax({gpuLogitsB_.data() + r * vocab_, vocab_}));
-        ActiveSeq &a = *slots_[slot.value()];
+        ActiveSeq &a = *slots_[slots[r].value()];
         a.tokens.push_back(next);
         a.next = next;
     }

@@ -41,6 +41,15 @@
  * the admission prefill's layer 0, and a gated round reuses whatever
  * routed-expert pages the slots still hold.
  *
+ * Each layer's GPU math is written once, as four stages over n
+ * contiguous hidden rows: PreAttn (attn_norm, Q/K/V projections),
+ * Route (O projection, residual, ffn_norm, router, top-k), Ffn (MoE
+ * FFN, residual) and Sample (final norm, lmHead, argmax). The decode
+ * chain tasks call them per micro-batch; the prefill layer task calls
+ * them per admitted sequence, with its own KV-append/attention walk
+ * between PreAttn and Route. Both work in one set of Gpu-queue
+ * scratch buffers.
+ *
  * The GPU queue's kernels (GEMMs, MoE FFN, lmHead, the prefill task)
  * fan out over a kernel pool sized from the host cores left after
  * the queue thread and the CPU attention workers (gpuPoolWorkers).
@@ -65,7 +74,7 @@
 #include "common/sync.hh"
 #include "common/thread_pool.hh"
 #include "common/units.hh"
-#include "kernels/router.hh"  // TokenRouting (prefill scratch)
+#include "kernels/router.hh"  // TokenRouting (the routing buffer)
 #include "runtime/kv_cache.hh"
 #include "runtime/paged_weights.hh"
 #include "runtime/prefix_cache.hh"
@@ -164,8 +173,7 @@ class PipelinedEngine : public Engine
      *  recompute) over the engine's life. */
     std::size_t preemptions() const { return preemptions_; }
 
-    /** Transfer byte counters since construction or the last
-     *  generate() call (generate resets them). */
+    /** Transfer byte counters since construction. */
     TransferStats transferStats() const { return te_.stats(); }
 
     /** Current KV usage in pages (K + V per block referenced by a
@@ -187,9 +195,6 @@ class PipelinedEngine : public Engine
     {
         return prefix_ ? prefix_->stats() : PrefixCacheStats{};
     }
-
-  protected:
-    void resetBatchStats() override { te_.resetStats(); }
 
   private:
     /** One admitted, still-generating request in a sequence slot. */
@@ -235,13 +240,38 @@ class PipelinedEngine : public Engine
     void prefillSlots(const std::vector<SlotIdx> &slots);
     void decodeActive(std::vector<RequestOutput> &finished);
     void runDecodeChains(StepState &st);
-    /** PostAttn's first half for micro-batch @p ub of @p layer: O
-     *  projection, residual, ffn_norm, router and top-k routing into
-     *  the round's routing buffer. */
-    void postRoute(StepState &st, LayerIdx layer, std::size_t ub);
-    /** PostAttn's second half: the MoE FFN over the routing buffer,
-     *  residual and, on the last layer, lmHead sampling. */
-    void postFfn(StepState &st, LayerIdx layer, std::size_t ub);
+
+    // One layer's GPU math over @p n contiguous hidden rows @p x of
+    // @p layer, shared by the decode chains (one micro-batch) and the
+    // prefill (one sequence's novel tail). Gpu queue only: they work
+    // in the Gpu scratch below, sized by growGpuScratch().
+    /** PreAttn: attn_norm, then the Q/K/V projections into gpuQB_,
+     *  gpuKB_ and gpuVB_. */
+    void preAttn(LayerIdx layer, const float *x, std::size_t n);
+    /** Route: O projection of @p attn (n rows of qDim), residual into
+     *  @p x, ffn_norm into gpuNormB_, router and top-k into
+     *  routing_. */
+    void route(LayerIdx layer, const float *attn, float *x,
+               std::size_t n);
+    /** Ffn: the MoE FFN of gpuNormB_ over routing_, residual into
+     *  @p x. */
+    void ffn(LayerIdx layer, float *x, std::size_t n);
+    /** Sample: final norm of every row, one lmHead GEMM over them
+     *  (bit-identical per row to m=1 GEMVs, see linalg.hh) and each
+     *  row's argmax token appended to slot @p slots[r]. A faulted
+     *  slot gets no token: its hidden state is garbage and it
+     *  retires with Error after sync. */
+    void sample(const std::vector<const float *> &rows,
+                const SlotIdx *slots);
+    /** Grow (never shrink) the Gpu scratch to @p rows hidden rows and
+     *  @p sampled lmHead rows. Driver thread, between sync()s. */
+    void growGpuScratch(std::size_t rows, std::size_t sampled);
+    /** Prefill's own step between PreAttn and Route: append the
+     *  tail's K/V rows to @p slot's stream and attend each position
+     *  causally into prefillAttn_ (per-codec walk). */
+    void prefillAttention(LayerIdx layer, SlotIdx slot, std::size_t len,
+                          KvViewStorage &view);
+
     void maybeRetire(SlotIdx slot,
                      std::vector<RequestOutput> &finished);
     void processLifecycle(std::vector<RequestOutput> &finished);
@@ -249,6 +279,9 @@ class PipelinedEngine : public Engine
                         std::string errorMessage,
                         std::vector<RequestOutput> &finished);
     void preemptYoungest();
+    /** Free @p slot's KV and return the slot to freeSlots_; the
+     *  caller has taken the request out of the slot and activeIds_. */
+    void releaseSlot(SlotIdx slot);
     /** The slot->sequence identity map: slot i owns KV sequence i.
      *  The ONLY place a SlotIdx becomes a SeqId (see
      *  docs/index_domains.md). */
@@ -322,27 +355,28 @@ class PipelinedEngine : public Engine
     mutable Mutex faultMu_;
     std::vector<std::string> slotError_ GUARDED_BY(faultMu_);
 
-    // Persistent scratch (grow-only; see ensureAttnScratch).
+    // Gpu-queue scratch for the layer math (grow-only; see
+    // growGpuScratch). Only Gpu-queue tasks touch it, one at a time,
+    // and the admission prefill syncs before the decode round, so the
+    // prefill and the decode chains share it.
     std::vector<float> gpuNormB_, gpuProjB_, gpuRlB_, gpuFfnB_;
     std::vector<float> gpuQB_, gpuKB_, gpuVB_;
-    /** Micro-batch lmHead logits: the last layer samples every row
-     *  of the micro-batch from ONE pooled GEMM instead of per-row
-     *  m=1 GEMVs (bit-identical per row — see linalg.hh). */
+    /** Pooled lmHead logits: Sample runs ONE GEMM over its rows
+     *  instead of per-row m=1 GEMVs (bit-identical per row). */
     std::vector<float> gpuLogitsB_;
-    /** Prefill-bootstrap pooled lmHead buffers (admitted-batch-
-     *  sized, which may exceed microBatch). */
-    std::vector<float> bootNorm_, bootLogits_;
+    /** The PostAttn routing buffer: one row per token Route routed.
+     *  In a gated round FetchExperts reads it on the HtoD queue
+     *  between Route and Ffn (docs/concurrency.md). */
+    std::vector<TokenRouting> routing_;
+    // Attention scratch (grow-only; see ensureAttnScratch).
     std::vector<float> cpuAttnScratch_, cpuBatchScratch_;
     std::vector<float> cpuPrefillScratch_;
     std::size_t scratchCtx_ = 0;
     std::size_t prefillScratchLen_ = 0;
+    /** Prefill: each admitted sequence's novel-tail hidden rows, and
+     *  the attention output of the sequence in flight. */
     std::vector<std::vector<float>> prefillHidden_;
-    // Prefill per-layer working buffers (reserved once per admission
-    // round to the longest prompt; only the zigzag's serialized GPU
-    // tasks touch them).
-    std::vector<float> pfNorm_, pfQ_, pfK_, pfV_;
-    std::vector<float> pfAttn_, pfProj_, pfRl_, pfFfn_;
-    std::vector<TokenRouting> pfRouting_;
+    std::vector<float> prefillAttn_;
 
     std::unique_ptr<StepState> st_;
     std::unique_ptr<StreamExecutor> exec_;  ///< last: destroyed first

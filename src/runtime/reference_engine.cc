@@ -236,8 +236,8 @@ ReferenceEngine::step()
 
     // One decode round: each active request advances by one token.
     // The last sampled token is fed back through the stack, then the
-    // next one is sampled — the same order generate() always used, so
-    // a request's KV stream never includes its final token. A decode
+    // next one is sampled, so a request's KV stream never includes its
+    // final token. A decode
     // fault retires only the faulted request (its KV freed on the
     // spot); co-active requests keep generating unaffected.
     auto t0 = std::chrono::steady_clock::now();

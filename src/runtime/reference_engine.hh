@@ -4,12 +4,11 @@
  * MoE transformer forward pass, token by token, with plain contiguous
  * KV tensors. It is the correctness oracle for the pipelined CGOPipe
  * engine — both must emit identical tokens per request for identical
- * weights, whether driven through the batch generate() convenience or
- * the request-level submit()/step() serving API (the reference
- * admits every pending request unconditionally, advances each active
- * request one token per step, and frees a request's KV the moment it
- * finishes, so it is also the oracle for staggered admission and
- * mixed generation lengths).
+ * weights through the request-level submit()/step() serving API (the
+ * reference admits every pending request unconditionally, advances
+ * each active request one token per step, and frees a request's KV
+ * the moment it finishes, so it is also the oracle for staggered
+ * admission and mixed generation lengths).
  */
 
 #ifndef MOELIGHT_RUNTIME_REFERENCE_ENGINE_HH

@@ -20,35 +20,6 @@ Engine::drain()
     return out;
 }
 
-std::vector<GenerationResult>
-Engine::generate(const std::vector<std::vector<int>> &prompts,
-                 int genLen)
-{
-    fatalIf(prompts.empty(), "no prompts");
-    fatalIf(genLen <= 0, "generation length must be positive");
-    fatalIf(!idle(),
-            "generate() requires an idle engine (its request ids "
-            "would collide with in-flight serving requests)");
-    resetBatchStats();
-    for (std::size_t s = 0; s < prompts.size(); ++s) {
-        ServeRequest req;
-        req.id = static_cast<std::int64_t>(s);
-        req.prompt = prompts[s];
-        req.maxNewTokens = genLen;
-        submit(std::move(req));
-    }
-    std::vector<GenerationResult> out(prompts.size());
-    for (RequestOutput &r : drain()) {
-        panicIf(r.id < 0 ||
-                    static_cast<std::size_t>(r.id) >= out.size(),
-                "generate(): engine returned unknown request id ",
-                r.id);
-        out[static_cast<std::size_t>(r.id)].tokens =
-            std::move(r.tokens);
-    }
-    return out;
-}
-
 ContinuousBatcher::ContinuousBatcher(std::size_t microBatch,
                                      std::size_t kvBudgetTokens,
                                      std::size_t headAgeLimit)
@@ -124,14 +95,13 @@ ContinuousBatcher::admit(std::size_t freeSlots,
 
     // Describe the front window of the queue for the planner; ids are
     // dense queue indices and come back unchanged, so placements map
-    // straight onto queue_ without re-sorting. The genLen field
-    // carries the page-rounding slack on top of the real budget so
-    // Algorithm 2's promptLen + genLen budget term equals the pool's
-    // true demand. Bounding the window keeps planning O(window log
-    // window) per round instead of re-sorting a deep backlog to admit
-    // at most freeSlots requests; a few times the admittable count
-    // still gives Algorithm 2 slack to balance and to skip over-
-    // budget requests.
+    // straight onto queue_ without re-sorting. promptLen + genLen is
+    // the request's exact KV demand in tokens, so Algorithm 2's
+    // budget term is what admission reserves. Bounding the window
+    // keeps planning O(window log window) per round instead of
+    // re-sorting a deep backlog to admit at most freeSlots requests;
+    // a few times the admittable count still gives Algorithm 2 slack
+    // to balance and to skip over-budget requests.
     std::size_t window = std::min(
         queue_.size(),
         std::max<std::size_t>(4 * freeSlots, 4 * microBatch_));
@@ -140,8 +110,8 @@ ContinuousBatcher::admit(std::size_t freeSlots,
     for (std::size_t i = 0; i < window; ++i) {
         // With a prefix-aware oracle the demand can be smaller than
         // the full prompt (the cached prefix is not private demand);
-        // clamp the prompt term so promptLen + genLen always equals
-        // the true demand without underflowing the slack.
+        // clamp the prompt term to the demand so genLen (the rest of
+        // it) never underflows and promptLen + genLen stays exact.
         std::size_t demand = kvDemand(queue_[i]);
         std::size_t pl = std::min(queue_[i].prompt.size(), demand);
         descr.push_back({static_cast<int>(i), static_cast<int>(pl),

@@ -8,8 +8,7 @@
  * with admission of queued requests and retirement of finished ones
  * happening between rounds — and receive RequestOutputs as sequences
  * finish, Orca/vLLM-style continuous batching rather than a single
- * blocking batch call. The legacy batch generate() survives as a
- * thin convenience wrapper over submit()/drain().
+ * blocking batch call.
  *
  * Implemented by both ReferenceEngine (the single-threaded oracle)
  * and PipelinedEngine (the CGOPipe pipeline); for identical weights
@@ -103,12 +102,6 @@ struct RequestOutput
     /** Wall seconds summed over the decode rounds this request was
      *  active in (shared by the round's co-batch). */
     double decodeSeconds = 0.0;
-};
-
-/** Generation output of the batch-convenience API (one request). */
-struct GenerationResult
-{
-    std::vector<int> tokens;  ///< generated token ids (greedy)
 };
 
 /** True when the last generated token is one of @p req's stop
@@ -269,7 +262,7 @@ servingKvDemandNet(const ServeRequest &req, std::size_t cachedTokens)
  *
  * Threading: submit(), cancel(), pendingRequests(), activeRequests()
  * and idle() may be called from any thread, concurrently with a
- * step() in flight. step() / drain() / generate() belong to exactly
+ * step() in flight. step() / drain() belong to exactly
  * one driver thread at a time — two concurrent step() calls are a
  * contract violation (detected in debug builds). See
  * docs/concurrency.md for the locking model behind this split.
@@ -310,21 +303,6 @@ class Engine
 
     /** step() until idle; returns all outputs in finish order. */
     std::vector<RequestOutput> drain();
-
-    /**
-     * Legacy batch convenience: submit one request per prompt (ids
-     * 0..n-1, uniform @p genLen), drain, and return the results in
-     * prompt order — a thin wrapper over the request API. Greedy
-     * tokens are identical to the request path because co-batching
-     * never changes per-sequence arithmetic. Fatal unless the engine
-     * is idle() (ids would collide with in-flight requests).
-     */
-    std::vector<GenerationResult>
-    generate(const std::vector<std::vector<int>> &prompts, int genLen);
-
-  protected:
-    /** Hook for generate(): reset per-batch engine counters. */
-    virtual void resetBatchStats() {}
 };
 
 /**

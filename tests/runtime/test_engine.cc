@@ -10,8 +10,12 @@
 #include "runtime/engine.hh"
 #include "runtime/reference_engine.hh"
 
+#include "engine_test_util.hh"
+
 namespace moelight {
 namespace {
+
+using engine_test::serveAll;
 
 std::vector<std::vector<int>>
 makePrompts(const ModelConfig &cfg, std::size_t n, std::size_t min_len,
@@ -35,11 +39,11 @@ TEST(ReferenceEngine, DeterministicGeneration)
     ModelWeights w = ModelWeights::random(tinyMixtral(), 1);
     ReferenceEngine a(w), b(w);
     auto prompts = makePrompts(w.cfg, 2, 3, 6, 2);
-    auto ra = a.generate(prompts, 5);
-    auto rb = b.generate(prompts, 5);
+    auto ra = serveAll(a, prompts, 5);
+    auto rb = serveAll(b, prompts, 5);
     ASSERT_EQ(ra.size(), rb.size());
     for (std::size_t s = 0; s < ra.size(); ++s)
-        EXPECT_EQ(ra[s].tokens, rb[s].tokens);
+        EXPECT_EQ(ra[s], rb[s]);
 }
 
 TEST(ReferenceEngine, GeneratesRequestedLength)
@@ -47,10 +51,10 @@ TEST(ReferenceEngine, GeneratesRequestedLength)
     ModelWeights w = ModelWeights::random(tinyMixtral(), 2);
     ReferenceEngine eng(w);
     auto prompts = makePrompts(w.cfg, 3, 2, 8, 3);
-    auto out = eng.generate(prompts, 7);
+    auto out = serveAll(eng, prompts, 7);
     for (const auto &r : out) {
-        EXPECT_EQ(r.tokens.size(), 7u);
-        for (int t : r.tokens) {
+        EXPECT_EQ(r.size(), 7u);
+        for (int t : r) {
             EXPECT_GE(t, 0);
             EXPECT_LT(t, static_cast<int>(w.cfg.vocab));
         }
@@ -75,17 +79,17 @@ TEST_P(EngineEquivalence, PipelinedMatchesReference)
     ReferenceEngine ref(w);
     auto prompts = makePrompts(w.cfg, static_cast<std::size_t>(num_seqs),
                                2, 10, 7);
-    auto expect = ref.generate(prompts, gen_len);
+    auto expect = serveAll(ref, prompts, gen_len);
 
     EngineConfig ec;
     ec.microBatch = static_cast<std::size_t>(micro_batch);
     ec.kvPageTokens = 4;
     PipelinedEngine eng(w, ec);
-    auto got = eng.generate(prompts, gen_len);
+    auto got = serveAll(eng, prompts, gen_len);
 
     ASSERT_EQ(got.size(), expect.size());
     for (std::size_t s = 0; s < got.size(); ++s)
-        EXPECT_EQ(got[s].tokens, expect[s].tokens) << "seq " << s;
+        EXPECT_EQ(got[s], expect[s]) << "seq " << s;
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -106,14 +110,14 @@ TEST(PipelinedEngine, MultiThreadedCpuAttentionMatches)
     ModelWeights w = ModelWeights::random(tinyMixtral(), 21);
     ReferenceEngine ref(w);
     auto prompts = makePrompts(w.cfg, 6, 3, 9, 31);
-    auto expect = ref.generate(prompts, 6);
+    auto expect = serveAll(ref, prompts, 6);
     EngineConfig ec;
     ec.microBatch = 3;
     ec.cpuAttnThreads = 3;
     PipelinedEngine eng(w, ec);
-    auto got = eng.generate(prompts, 6);
+    auto got = serveAll(eng, prompts, 6);
     for (std::size_t s = 0; s < got.size(); ++s)
-        EXPECT_EQ(got[s].tokens, expect[s].tokens) << "seq " << s;
+        EXPECT_EQ(got[s], expect[s]) << "seq " << s;
 }
 
 TEST(PipelinedEngine, ThrottledLinkStillCorrect)
@@ -124,14 +128,14 @@ TEST(PipelinedEngine, ThrottledLinkStillCorrect)
     ModelWeights w = ModelWeights::random(tinyMixtral(), 22);
     ReferenceEngine ref(w);
     auto prompts = makePrompts(w.cfg, 4, 2, 5, 33);
-    auto expect = ref.generate(prompts, 4);
+    auto expect = serveAll(ref, prompts, 4);
     EngineConfig ec;
     ec.microBatch = 2;
     ec.throttleBw = 200.0 * 1e6;  // 200 MB/s simulated link
     PipelinedEngine eng(w, ec);
-    auto got = eng.generate(prompts, 4);
+    auto got = serveAll(eng, prompts, 4);
     for (std::size_t s = 0; s < got.size(); ++s)
-        EXPECT_EQ(got[s].tokens, expect[s].tokens) << "seq " << s;
+        EXPECT_EQ(got[s], expect[s]) << "seq " << s;
 }
 
 TEST(PipelinedEngine, SingleTokenGeneration)
@@ -140,11 +144,11 @@ TEST(PipelinedEngine, SingleTokenGeneration)
     ModelWeights w = ModelWeights::random(tinyMixtral(), 5);
     ReferenceEngine ref(w);
     auto prompts = makePrompts(w.cfg, 3, 2, 6, 11);
-    auto expect = ref.generate(prompts, 1);
+    auto expect = serveAll(ref, prompts, 1);
     PipelinedEngine eng(w, {});
-    auto got = eng.generate(prompts, 1);
+    auto got = serveAll(eng, prompts, 1);
     for (std::size_t s = 0; s < got.size(); ++s)
-        EXPECT_EQ(got[s].tokens, expect[s].tokens);
+        EXPECT_EQ(got[s], expect[s]);
 }
 
 TEST(PipelinedEngine, MoreMicroBatchesThanWeightPagesMatchReference)
@@ -158,15 +162,15 @@ TEST(PipelinedEngine, MoreMicroBatchesThanWeightPagesMatchReference)
     ModelWeights w = ModelWeights::random(tinyMixtral(), 31);
     ReferenceEngine ref(w);
     auto prompts = makePrompts(w.cfg, 22, 2, 6, 19);
-    auto expect = ref.generate(prompts, 4);
+    auto expect = serveAll(ref, prompts, 4);
     EngineConfig ec;
     ec.microBatch = 1;
     ec.maxConcurrency = 24;
     PipelinedEngine eng(w, ec);
-    auto got = eng.generate(prompts, 4);
+    auto got = serveAll(eng, prompts, 4);
     ASSERT_EQ(got.size(), expect.size());
     for (std::size_t s = 0; s < got.size(); ++s)
-        EXPECT_EQ(got[s].tokens, expect[s].tokens) << "seq " << s;
+        EXPECT_EQ(got[s], expect[s]) << "seq " << s;
 }
 
 TEST(PipelinedEngine, AdmissionWavesMatchReference)
@@ -177,15 +181,15 @@ TEST(PipelinedEngine, AdmissionWavesMatchReference)
     ModelWeights w = ModelWeights::random(tinyMixtral(), 23);
     ReferenceEngine ref(w);
     auto prompts = makePrompts(w.cfg, 7, 2, 9, 17);
-    auto expect = ref.generate(prompts, 5);
+    auto expect = serveAll(ref, prompts, 5);
     EngineConfig ec;
     ec.microBatch = 2;
     ec.maxConcurrency = 3;
     PipelinedEngine eng(w, ec);
-    auto got = eng.generate(prompts, 5);
+    auto got = serveAll(eng, prompts, 5);
     ASSERT_EQ(got.size(), expect.size());
     for (std::size_t s = 0; s < got.size(); ++s)
-        EXPECT_EQ(got[s].tokens, expect[s].tokens) << "seq " << s;
+        EXPECT_EQ(got[s], expect[s]) << "seq " << s;
 }
 
 TEST(PipelinedEngine, TransfersAccountedForWeightsAndActivations)
@@ -193,7 +197,7 @@ TEST(PipelinedEngine, TransfersAccountedForWeightsAndActivations)
     ModelWeights w = ModelWeights::random(tinyMixtral(), 6);
     PipelinedEngine eng(w, {});
     auto prompts = makePrompts(w.cfg, 4, 3, 5, 13);
-    eng.generate(prompts, 4);
+    serveAll(eng, prompts, 4);
     TransferStats s = eng.transferStats();
     // Weights staged through pinned memory: both hops equal.
     EXPECT_GT(s.hostToPinned, 0u);
@@ -258,10 +262,10 @@ TEST(PipelinedEngine, RejectsBadPrompts)
 {
     ModelWeights w = ModelWeights::random(tinyMixtral(), 10);
     PipelinedEngine eng(w, {});
-    EXPECT_THROW(eng.generate({}, 4), FatalError);
-    EXPECT_THROW(eng.generate({{1, 2}}, 0), FatalError);
-    EXPECT_THROW(eng.generate({{}}, 2), FatalError);
-    EXPECT_THROW(eng.generate({{99999}}, 2), FatalError);
+    EXPECT_THROW(serveAll(eng, {{1, 2}}, 0), FatalError);
+    EXPECT_THROW(serveAll(eng, {{}}, 2), FatalError);
+    EXPECT_THROW(serveAll(eng, {{99999}}, 2), FatalError);
+    EXPECT_TRUE(eng.idle()) << "rejected at submit, nothing queued";
 }
 
 // ---------------------------------------------------------------------
@@ -322,17 +326,17 @@ TEST_P(GatedRounds, MatchReferenceAndStreamOnlyRoutedExperts)
                                9, 61 + static_cast<std::uint64_t>(rows));
     const int gen = 6;
     ReferenceEngine ref(w, quant, 4);
-    auto expect = ref.generate(prompts, gen);
+    auto expect = serveAll(ref, prompts, gen);
 
     EngineConfig ec;
     ec.microBatch = 4;  // every row in one micro-batch
     ec.kvPageTokens = 4;
     ec.kvQuant = quant;
     PipelinedEngine eng(w, ec);
-    auto got = eng.generate(prompts, gen);
+    auto got = serveAll(eng, prompts, gen);
     ASSERT_EQ(got.size(), expect.size());
     for (std::size_t s = 0; s < got.size(); ++s)
-        EXPECT_EQ(got[s].tokens, expect[s].tokens) << "seq " << s;
+        EXPECT_EQ(got[s], expect[s]) << "seq " << s;
 
     // The admission prefill streams every layer, leaving layers l - 2
     // and l - 1 in the two weight slots. Every decode round then
@@ -420,8 +424,9 @@ kvModeName(const ::testing::TestParamInfo<int> &info)
     return kModes[info.param];
 }
 
-/** KV mode: 0 float / 1 int8 / 2 int4. */
-class ShapeTransitions : public ::testing::TestWithParam<int>
+/** (KV mode: 0 float / 1 int8 / 2 int4, non-unit norm gains). */
+class ShapeTransitions
+    : public ::testing::TestWithParam<std::tuple<int, bool>>
 {
 };
 
@@ -432,9 +437,13 @@ TEST_P(ShapeTransitions, MatchReferenceAndSteadyFullRoundsStreamLLayers)
     // again: whatever each shape left in the weight slots, tokens stay
     // bit-identical, and a full round that follows a full round
     // streams exactly l layers (the previous round streamed its
-    // layer 0).
-    std::optional<QuantKind> quant = quantOf(GetParam());
+    // layer 0). With non-unit norm gains, applying the wrong norm (or
+    // none) anywhere in the shared layer math changes tokens.
+    auto [qidx, gains] = GetParam();
+    std::optional<QuantKind> quant = quantOf(qidx);
     ModelWeights w = ModelWeights::random(top2of8(), 54);
+    if (gains)
+        engine_test::randomizeNormGains(w, 55);
     EngineConfig ec;
     ec.microBatch = 2;  // 3+ rows: several micro-batches
     ec.kvPageTokens = 4;
@@ -495,8 +504,18 @@ TEST_P(ShapeTransitions, MatchReferenceAndSteadyFullRoundsStreamLLayers)
         EXPECT_EQ(got[e.id], e.tokens) << "request " << e.id;
 }
 
+std::string
+shapeCaseName(const ::testing::TestParamInfo<std::tuple<int, bool>> &info)
+{
+    static const char *kModes[] = {"float", "int8", "int4"};
+    return std::string(kModes[std::get<0>(info.param)]) +
+           (std::get<1>(info.param) ? "_norm_gains" : "");
+}
+
 INSTANTIATE_TEST_SUITE_P(KvModes, ShapeTransitions,
-                         ::testing::Values(0, 1, 2), kvModeName);
+                         ::testing::Combine(::testing::Values(0, 1, 2),
+                                            ::testing::Bool()),
+                         shapeCaseName);
 
 // ---------------------------------------------------------------------
 // The Gpu-queue kernel pool: sized from the host's cores, bit-identical

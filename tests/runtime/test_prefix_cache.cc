@@ -18,6 +18,7 @@
 #include <algorithm>
 #include <map>
 #include <optional>
+#include <tuple>
 #include <vector>
 
 #include "common/logging.hh"
@@ -29,6 +30,8 @@
 #include "runtime/reference_engine.hh"
 #include "runtime/serving.hh"
 #include "runtime/status.hh"
+
+#include "engine_test_util.hh"
 
 namespace moelight {
 namespace {
@@ -253,9 +256,14 @@ sharedPrefixRequests(const ModelConfig &cfg,
     return reqs;
 }
 
-TEST(PrefixServing, HotMatchesColdAndReferenceFloat)
+/** Float KV, hot vs cold vs ReferenceEngine; @p normGains gives the
+ *  model non-unit norm gains. */
+void
+checkHotMatchesColdAndReferenceFloat(bool normGains)
 {
     ModelWeights w = ModelWeights::random(tinyMixtral(), 21);
+    if (normGains)
+        engine_test::randomizeNormGains(w, 22);
     EngineConfig ec;
     ec.microBatch = 2;
     ec.kvPageTokens = 4;
@@ -313,15 +321,26 @@ TEST(PrefixServing, HotMatchesColdAndReferenceFloat)
         << "cached prefix pages survive the drain";
 }
 
+TEST(PrefixServing, HotMatchesColdAndReferenceFloat)
+{
+    for (bool gains : {false, true}) {
+        SCOPED_TRACE(gains ? "non-unit norm gains" : "unit norm gains");
+        checkHotMatchesColdAndReferenceFloat(gains);
+    }
+}
+
+/** (KV codec, non-unit norm gains). */
 struct QuantPrefixServing
-    : public ::testing::TestWithParam<QuantKind>
+    : public ::testing::TestWithParam<std::tuple<QuantKind, bool>>
 {
 };
 
 TEST_P(QuantPrefixServing, StaggeredHotMatchesQuantReference)
 {
-    QuantKind kind = GetParam();
+    auto [kind, gains] = GetParam();
     ModelWeights w = ModelWeights::random(tinyMixtral(), 42);
+    if (gains)
+        engine_test::randomizeNormGains(w, 43);
     std::size_t page_tokens = 4;
     EngineConfig ec;
     ec.microBatch = 2;
@@ -362,9 +381,10 @@ TEST_P(QuantPrefixServing, StaggeredHotMatchesQuantReference)
     EXPECT_GT(eng.kvCachedPages(), 0u);
 }
 
-INSTANTIATE_TEST_SUITE_P(Kinds, QuantPrefixServing,
-                         ::testing::Values(QuantKind::Int8,
-                                           QuantKind::Int4));
+INSTANTIATE_TEST_SUITE_P(
+    Kinds, QuantPrefixServing,
+    ::testing::Combine(::testing::Values(QuantKind::Int8, QuantKind::Int4),
+                       ::testing::Bool()));
 
 TEST(PrefixServing, StopTokenRetiresSharerEarlyBitIdentical)
 {

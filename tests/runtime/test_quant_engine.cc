@@ -13,8 +13,12 @@
 #include "runtime/engine.hh"
 #include "runtime/reference_engine.hh"
 
+#include "engine_test_util.hh"
+
 namespace moelight {
 namespace {
+
+using engine_test::serveAll;
 
 std::vector<std::vector<int>>
 makePrompts(const ModelConfig &cfg, std::size_t n, std::size_t min_len,
@@ -46,7 +50,7 @@ TEST_P(QuantEngineEquivalence, PipelinedMatchesQuantReference)
 
     ReferenceEngine ref(w, kind, page_tokens);
     auto prompts = makePrompts(w.cfg, 4, 2, 10, 7);
-    auto expect = ref.generate(prompts, 6);
+    auto expect = serveAll(ref, prompts, 6);
 
     EngineConfig ec;
     ec.microBatch = 2;
@@ -54,11 +58,11 @@ TEST_P(QuantEngineEquivalence, PipelinedMatchesQuantReference)
     ec.kvQuant = kind;
     ec.cpuAttnThreads = static_cast<std::size_t>(attn_threads);
     PipelinedEngine eng(w, ec);
-    auto got = eng.generate(prompts, 6);
+    auto got = serveAll(eng, prompts, 6);
 
     ASSERT_EQ(got.size(), expect.size());
     for (std::size_t s = 0; s < got.size(); ++s)
-        EXPECT_EQ(got[s].tokens, expect[s].tokens) << "seq " << s;
+        EXPECT_EQ(got[s], expect[s]) << "seq " << s;
     // Quantized pages were held during the run and all released when
     // the requests retired.
     EXPECT_GT(eng.kvPeakPages(), 0u);
@@ -81,12 +85,12 @@ TEST(QuantEngine, QuantReferenceStaysCloseToFloatReference)
     ReferenceEngine fp(w);
     ReferenceEngine q8(w, QuantKind::Int8, 4);
     auto prompts = makePrompts(w.cfg, 3, 3, 8, 5);
-    auto a = fp.generate(prompts, 4);
-    auto b = q8.generate(prompts, 4);
+    auto a = serveAll(fp, prompts, 4);
+    auto b = serveAll(q8, prompts, 4);
     std::size_t same = 0, total = 0;
     for (std::size_t s = 0; s < a.size(); ++s)
-        for (std::size_t t = 0; t < a[s].tokens.size(); ++t) {
-            same += a[s].tokens[t] == b[s].tokens[t];
+        for (std::size_t t = 0; t < a[s].size(); ++t) {
+            same += a[s][t] == b[s][t];
             ++total;
         }
     EXPECT_GE(same * 2, total)

@@ -20,8 +20,12 @@
 #include "runtime/reference_engine.hh"
 #include "runtime/serving.hh"
 
+#include "engine_test_util.hh"
+
 namespace moelight {
 namespace {
+
+using engine_test::serveAll;
 
 std::vector<int>
 makePrompt(const ModelConfig &cfg, std::size_t len, std::uint64_t seed)
@@ -321,11 +325,11 @@ TEST(Serving, PolymorphicUseThroughEngineInterface)
                                           makePrompt(w.cfg, 7, 2)};
     Engine &a = pipe;
     Engine &b = ref;
-    auto ra = a.generate(prompts, 6);
-    auto rb = b.generate(prompts, 6);
+    auto ra = serveAll(a, prompts, 6);
+    auto rb = serveAll(b, prompts, 6);
     ASSERT_EQ(ra.size(), rb.size());
     for (std::size_t s = 0; s < ra.size(); ++s)
-        EXPECT_EQ(ra[s].tokens, rb[s].tokens);
+        EXPECT_EQ(ra[s], rb[s]);
     EXPECT_TRUE(a.idle());
     EXPECT_TRUE(b.idle());
 }
@@ -342,24 +346,6 @@ TEST(Serving, RejectsBadRequests)
     r.prompt = {1, 2};
     r.maxNewTokens = 0;
     EXPECT_THROW(eng.submit(r), FatalError);  // no budget
-}
-
-TEST(Serving, GenerateRequiresIdleEngine)
-{
-    // The batch wrapper assigns ids 0..n-1, which would collide with
-    // in-flight serving requests — it must refuse instead.
-    ModelWeights w = ModelWeights::random(tinyMixtral(), 4);
-    PipelinedEngine eng(w, {});
-    ServeRequest r;
-    r.id = 0;
-    r.prompt = makePrompt(w.cfg, 4, 1);
-    r.maxNewTokens = 8;
-    eng.submit(r);
-    EXPECT_THROW(eng.generate({makePrompt(w.cfg, 3, 2)}, 2),
-                 FatalError);
-    eng.drain();  // the serving request is unaffected
-    auto batch = eng.generate({makePrompt(w.cfg, 3, 2)}, 2);
-    EXPECT_EQ(batch[0].tokens.size(), 2u);
 }
 
 TEST(ContinuousBatcher, AdmitsUpToFreeSlotsKeepsRestInOrder)
