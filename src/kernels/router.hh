@@ -24,11 +24,23 @@ struct TokenRouting
 };
 
 /**
- * Route one token: pick the @p k largest of @p logits (n_experts
- * entries) and softmax-renormalize their logits into mixing weights.
- * Ties broken toward the lower expert id, matching a stable sort.
+ * Route one token into @p out: pick the @p k largest of @p logits
+ * (n_experts entries) and softmax-renormalize their logits into
+ * mixing weights. Ties broken toward the lower expert id, matching a
+ * stable sort. @p out's vectors keep their capacity, so a reused
+ * routing row allocates nothing.
  */
-TokenRouting routeTopK(std::span<const float> logits, std::size_t k);
+void routeTopK(std::span<const float> logits, std::size_t k,
+               TokenRouting &out);
+
+/** routeTopK into a fresh TokenRouting. */
+inline TokenRouting
+routeTopK(std::span<const float> logits, std::size_t k)
+{
+    TokenRouting r;
+    routeTopK(logits, k, r);
+    return r;
+}
 
 /**
  * Route a batch: @p logits is [tokens, n_experts] row-major; returns

@@ -1,10 +1,8 @@
 #include "runtime/engine.hh"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <thread>
 
 #include "common/logging.hh"
@@ -97,24 +95,26 @@ struct PipelinedEngine::StepState
 
 PipelinedEngine::PipelinedEngine(const ModelWeights &weights,
                                  EngineConfig cfg)
-    // validate() runs before any member that consumes the config, so
-    // a bad config fails here with its own message instead of a
-    // deep-in-pipeline assert.
-    : w_((cfg.validate(), weights.cfg.validate(), weights)),
+    // validate() runs before the serving core or any member consumes
+    // the config, so a bad config fails here with its own message
+    // instead of a deep-in-pipeline assert. Algorithm 2 budgets in
+    // request tokens (prompt + generated); kvCapacityTokens counts
+    // token-layer entries, so the core's budget divides by the layer
+    // count.
+    : Engine((cfg.validate(), weights.cfg.validate(),
+              Limits{.vocab = weights.cfg.vocab,
+                     .slots = cfg.maxConcurrency,
+                     .microBatch = cfg.microBatch,
+                     .kvBudgetTokens = std::max<std::size_t>(
+                         1, cfg.kvCapacityTokens / weights.cfg.l),
+                     .headAgeLimit = cfg.headAgeLimit})),
+      w_(weights),
       cfg_(cfg),
       pinned_("pinned", maxTensorFloats(weights.cfg), 4),
       te_(pinned_, cfg.throttleBw),
       store_(weights, pinned_, 2),
       kv_(weights.cfg, cfg.maxConcurrency, cfg.kvPageTokens, cfg.kvQuant,
-          cfg.kvCapacityTokens),
-      // Algorithm 2 budgets in request tokens (prompt + generated);
-      // the engine's kvCapacityTokens counts token-layer entries, so
-      // divide by the layer count. The batcher is constructed from
-      // this member — the budget check and submit()'s fit check must
-      // use the same budget.
-      kvBudgetTokens_(std::max<std::size_t>(
-          1, cfg.kvCapacityTokens / weights.cfg.l)),
-      batcher_(cfg.microBatch, kvBudgetTokens_, cfg.headAgeLimit)
+          cfg.kvCapacityTokens)
 {
     const ModelConfig &c = w_.cfg;
     fatalIf(c.l % store_.numSlots() != 0,
@@ -134,12 +134,6 @@ PipelinedEngine::PipelinedEngine(const ModelWeights &weights,
     vocab_ = c.vocab;
     scale_ = 1.0f / std::sqrt(static_cast<float>(c.headDim));
 
-    slots_.resize(cfg_.maxConcurrency);
-    slotError_.resize(cfg_.maxConcurrency);
-    freeSlots_.resize(cfg_.maxConcurrency);
-    for (std::size_t i = 0; i < cfg_.maxConcurrency; ++i)
-        freeSlots_[i] = cfg_.maxConcurrency - 1 - i;  // back = slot 0
-
     if (cfg_.prefixCache) {
         PageTable &table = kv_.pageTable();
         // Stats report float-equivalent bytes: K+V rows for one token
@@ -150,13 +144,6 @@ PipelinedEngine::PipelinedEngine(const ModelWeights &weights,
         // cached pages; only when nothing is evictable does it throw
         // KvExhausted.
         table.setReclaimHook([this] { return prefix_->evictOne(); });
-        // Admission budgets only the novel tail of a cached prompt
-        // (the shared pages are budgeted once, globally, via
-        // pinnedTokens in kvTokensInUse()).
-        MutexLock lk(frontMu_);  // object not yet shared; analysis
-        batcher_.setDemandOracle([this](const ServeRequest &r) {
-            return servingKvDemandNet(r, prefix_->peekMatch(r.prompt));
-        });
     }
 
     growGpuScratch(cfg_.microBatch, cfg_.microBatch);
@@ -166,55 +153,6 @@ PipelinedEngine::PipelinedEngine(const ModelWeights &weights,
 }
 
 PipelinedEngine::~PipelinedEngine() = default;
-
-void
-PipelinedEngine::submit(ServeRequest req)
-{
-    servingValidateRequest(req, w_.cfg.vocab);
-    // A request that can never fit the whole KV budget must fail
-    // here with a diagnosis, not later from inside a pipeline worker
-    // once the queue drains to it — by then the slot is occupied and
-    // the fault aborts the serving round. Every request accepted
-    // here is eventually admittable (aged head-of-line included).
-    std::size_t demand = servingKvDemand(req);
-    fatalIf(demand > kvBudgetTokens_,
-            "request ", req.id, " needs ", demand,
-            " KV tokens (prompt ", req.prompt.size(),
-            " + generation budget ", req.maxNewTokens,
-            ") but the engine's KV capacity is ", kvBudgetTokens_,
-            " request tokens (kvCapacityTokens / layer count)");
-    servingStampSubmitted(req);
-    MutexLock lk(frontMu_);
-    batcher_.enqueue(std::move(req));
-}
-
-bool
-PipelinedEngine::cancel(std::int64_t id)
-{
-    MutexLock lk(frontMu_);
-    // activeIds_ mirrors the driver-owned slots_ so this probe never
-    // races the pipeline. Found ids stay in flight until the next
-    // step(), which retires them as Cancelled and releases their
-    // pages.
-    bool found = batcher_.contains(id) || activeIds_.count(id) != 0;
-    if (found)
-        cancelled_.insert(id);
-    return found;
-}
-
-std::size_t
-PipelinedEngine::pendingRequests() const
-{
-    MutexLock lk(frontMu_);
-    return batcher_.pending();
-}
-
-std::size_t
-PipelinedEngine::activeRequests() const
-{
-    MutexLock lk(frontMu_);
-    return activeIds_.size();
-}
 
 std::size_t
 PipelinedEngine::kvUsedPages() const
@@ -230,32 +168,35 @@ PipelinedEngine::kvContextLen(SlotIdx slot) const
 }
 
 std::size_t
-PipelinedEngine::kvTokensInUse() const
+PipelinedEngine::peekPrefix(const ServeRequest &req) const
 {
-    // Reserved demand of every active request, in the request-token
-    // units Algorithm 2 budgets with (see the batcher_ construction).
-    // Budgeting *current* usage instead would over-admit — an
-    // admitted sequence keeps growing toward its budget, and the
-    // later appends would overflow the pool mid-flight, killing
-    // every in-flight request. Early (stop-token) retirement just
-    // hands reserved capacity back sooner.
-    //
-    // With the prefix cache on, each slot reserves only its private
-    // (novel-tail) demand and the shared cached pages are charged
-    // once, globally: pinnedTokens counts every prefix page exactly
-    // once however many sequences attach to it. Together they bound
-    // physical residency — private streams never outgrow their net
-    // reservation, so sum(net) + pinned covers the pool. Counting the
-    // pinned-but-unreferenced pages too is deliberately conservative:
-    // admission defers instead of relying on eviction, and the
-    // reclaim hook frees them if an append does hit the wall.
-    std::size_t reserved = 0;
-    for (const auto &s : slots_)
-        if (s)
-            reserved += s->reservedTokens;
-    if (prefix_)
-        reserved += kv_.pageTable().pinnedTokens() / w_.cfg.l;
-    return reserved;
+    return prefix_ ? prefix_->peekMatch(req.prompt) : 0;
+}
+
+std::size_t
+PipelinedEngine::attachPrefix(SlotIdx slot)
+{
+    // A hit attaches the cached pages read-only (one refcount bump per
+    // page per layer), so prefill starts at the matched position.
+    return prefix_ ? prefix_->attach(seqOf(slot), active(slot).req.prompt)
+                   : 0;
+}
+
+std::size_t
+PipelinedEngine::sharedKvTokens() const
+{
+    // pinnedTokens counts every prefix page exactly once however many
+    // sequences attach to it. Counting the pinned-but-unreferenced
+    // pages too is deliberately conservative: admission defers
+    // instead of relying on eviction, and the reclaim hook frees them
+    // if an append does hit the wall.
+    return prefix_ ? kv_.pageTable().pinnedTokens() / w_.cfg.l : 0;
+}
+
+void
+PipelinedEngine::checkInvariants() const
+{
+    kv_.pageTable().checkInvariants();
 }
 
 std::size_t
@@ -271,7 +212,7 @@ PipelinedEngine::noteKvUsage()
 }
 
 void
-PipelinedEngine::freeSlotKv(SlotIdx slot)
+PipelinedEngine::releaseKv(SlotIdx slot)
 {
     // A request that faulted before its first append holds no KV
     // state; freeing it anyway would (rightly) trip the store's
@@ -319,329 +260,35 @@ PipelinedEngine::ensureAttnScratch(std::size_t ctx)
     cpuBatchScratch_.assign(attn_slots * per, 0.0f);
 }
 
-std::vector<RequestOutput>
-PipelinedEngine::step()
-{
-    std::vector<RequestOutput> finished;
-    // Lifecycle first: cancellations and expired deadlines retire
-    // (and release pages) before admission, so freed capacity is
-    // available to this very round's admission decision.
-    processLifecycle(finished);
-    admitPending(finished);
-    decodeActive(finished);
-    return finished;
-}
-
 void
-PipelinedEngine::noteSlotFault(SlotIdx slot, const char *what)
+PipelinedEngine::syncRound()
 {
-    MutexLock lk(faultMu_);
-    if (slotError_[slot.value()].empty())
-        slotError_[slot.value()] = what;
-}
-
-bool
-PipelinedEngine::slotFaulted(SlotIdx slot) const
-{
-    MutexLock lk(faultMu_);
-    return !slotError_[slot.value()].empty();
-}
-
-void
-PipelinedEngine::maybeRetire(SlotIdx slot,
-                             std::vector<RequestOutput> &finished)
-{
-    ActiveSeq &a = *slots_[slot.value()];
-    if (!servingReachedEnd(a.req, a.tokens))
-        return;
-    // The finish reason is judged against the (possibly resumed)
-    // request's own budget, but the reported tokens span the whole
-    // original request: pre-preemption tokens first.
-    RequestOutput r = servingMakeOutput(
-        a.req, std::move(a.tokens), a.prefillSeconds, a.decodeSeconds);
-    if (!a.saved.empty())
-        r.tokens.insert(r.tokens.begin(), a.saved.begin(),
-                        a.saved.end());
-    r.preemptions = a.preemptions;
-    // Early retirement: the pages go back to the pool *now*, while
-    // the co-batch keeps decoding, so a freed slot can take the next
-    // queued request at the following round's admission.
-    {
-        MutexLock lk(frontMu_);
-        activeIds_.erase(a.req.id);
-    }
-    releaseSlot(slot);
-    finished.push_back(std::move(r));
-}
-
-void
-PipelinedEngine::releaseSlot(SlotIdx slot)
-{
-    freeSlotKv(slot);
-    slots_[slot.value()].reset();
-    freeSlots_.insert(
-        std::lower_bound(freeSlots_.begin(), freeSlots_.end(),
-                         slot.value(), std::greater<std::size_t>()),
-        slot.value());
-}
-
-void
-PipelinedEngine::retireTerminal(SlotIdx slot, FinishReason reason,
-                                std::string errorMessage,
-                                std::vector<RequestOutput> &finished)
-{
-    ActiveSeq &a = *slots_[slot.value()];
-    std::vector<int> tokens = std::move(a.saved);
-    tokens.insert(tokens.end(), a.tokens.begin(), a.tokens.end());
-    RequestOutput r = servingMakeTerminalOutput(
-        a.req, std::move(tokens), reason, std::move(errorMessage),
-        a.prefillSeconds, a.decodeSeconds);
-    r.preemptions = a.preemptions;
-    {
-        MutexLock lk(frontMu_);
-        activeIds_.erase(a.req.id);
-    }
-    releaseSlot(slot);
-    {
-        MutexLock lk(faultMu_);
-        slotError_[slot.value()].clear();
-    }
-    finished.push_back(std::move(r));
-}
-
-void
-PipelinedEngine::processLifecycle(std::vector<RequestOutput> &finished)
-{
-    // Snapshot the cancellation set: ids cancelled after this point
-    // are simply handled by the next round, and operating on a local
-    // copy keeps the driver lock-free below (retire sites take their
-    // own brief front-end locks; holding frontMu_ across them would
-    // self-deadlock).
-    std::unordered_set<std::int64_t> cancelled;
-    {
-        MutexLock lk(frontMu_);
-        cancelled.swap(cancelled_);
-    }
-    // Queued requests (including preempted ones awaiting
-    // re-admission): cancellation and deadlines must not wait for
-    // admission.
-    std::vector<ServeRequest> removed;
-    {
-        MutexLock lk(frontMu_);
-        if (batcher_.pending() > 0)
-            removed = batcher_.removeIf([&](const ServeRequest &r) {
-                return cancelled.count(r.id) != 0 ||
-                       servingDeadlineExpired(r);
-            });
-    }
-    for (ServeRequest &r : removed) {
-        FinishReason why = cancelled.count(r.id)
-                               ? FinishReason::Cancelled
-                               : FinishReason::TimedOut;
-        cancelled.erase(r.id);
-        ResumeState rs;
-        auto it = resume_.find(r.id);
-        if (it != resume_.end()) {
-            rs = std::move(it->second);
-            resume_.erase(it);
-        }
-        RequestOutput out = servingMakeTerminalOutput(
-            r, std::move(rs.saved), why, "", rs.prefillSeconds,
-            rs.decodeSeconds);
-        out.preemptions = rs.preemptions;
-        finished.push_back(std::move(out));
-    }
-    // Active sequences: retire and release pages immediately.
-    for (std::size_t slot = 0; slot < slots_.size(); ++slot) {
-        if (!slots_[slot])
-            continue;
-        const ServeRequest &req = slots_[slot]->req;
-        if (cancelled.count(req.id)) {
-            cancelled.erase(req.id);
-            retireTerminal(SlotIdx(slot), FinishReason::Cancelled,
-                           "", finished);
-        } else if (servingDeadlineExpired(req)) {
-            retireTerminal(SlotIdx(slot), FinishReason::TimedOut,
-                           "", finished);
-        }
-    }
-    // Anything left in the snapshot was stale by the time this round
-    // ran (the request had already finished); cancel() only admits
-    // known ids, so the leftovers just drop with the local set.
-}
-
-void
-PipelinedEngine::preemptYoungest()
-{
-    // Victim: the youngest admission (highest stamp) — it has the
-    // least decode progress to recompute.
-    std::size_t victim = slots_.size();
-    std::uint64_t best = 0;
-    for (std::size_t slot = 0; slot < slots_.size(); ++slot)
-        if (slots_[slot] &&
-            (victim == slots_.size() ||
-             slots_[slot]->admitStamp > best)) {
-            victim = slot;
-            best = slots_[slot]->admitStamp;
-        }
-    panicIf(victim == slots_.size(),
-            "preemption requested with no active sequences");
-
-    ActiveSeq &a = *slots_[victim];
-    ResumeState rs;
-    rs.saved = std::move(a.saved);
-    rs.saved.insert(rs.saved.end(), a.tokens.begin(), a.tokens.end());
-    rs.preemptions = a.preemptions + 1;
-    rs.prefillSeconds = a.prefillSeconds;
-    rs.decodeSeconds = a.decodeSeconds;
-
-    // Rebuild the request for prefill-recompute: the prompt absorbs
-    // every token generated so far and the budget shrinks by the same
-    // count, so total KV demand (and the admission accounting) is
-    // unchanged. Re-prefilling prompt+generated replays the exact
-    // per-position arithmetic of the interrupted decode — the prefill
-    // bootstrap then re-samples the next token from the same hidden
-    // state the decode round would have used, which is what makes the
-    // resumed token stream bit-identical to an uncontended run.
-    ServeRequest req = std::move(a.req);
-    req.prompt.insert(req.prompt.end(), a.tokens.begin(),
-                      a.tokens.end());
-    req.maxNewTokens -= static_cast<int>(a.tokens.size());
-    panicIf(req.maxNewTokens <= 0,
-            "preempting a request that should have retired");
-
-    releaseSlot(SlotIdx(victim));
-    resume_[req.id] = std::move(rs);
-    ++preemptions_;
-    {
-        // One critical section for the active→queued hand-off, so a
-        // concurrent cancel() finds the id on one side or the other.
-        MutexLock lk(frontMu_);
-        activeIds_.erase(req.id);
-        batcher_.requeue(std::move(req));
-    }
-}
-
-void
-PipelinedEngine::admitPending(std::vector<RequestOutput> &finished)
-{
-    std::vector<ServeRequest> admitted;
-    {
-        MutexLock lk(frontMu_);
-        if (batcher_.pending() == 0)
-            return;
-        admitted = batcher_.admit(freeSlots_.size(), kvTokensInUse());
-    }
-    if (admitted.empty()) {
-        // The planner deferred everything. With sequences still
-        // generating that's usually back-pressure — retry next round.
-        // But once the queue head has aged past the limit, waiting on
-        // natural retirement alone can starve it indefinitely behind
-        // long-budget actives: preempt the youngest active sequences
-        // (graceful degradation — their work is recomputed, not
-        // lost) until the head fits. With the engine idle, deferral
-        // would be permanent starvation (a lone request bigger than
-        // the whole planner budget): force the oldest through and let
-        // the KV pool itself diagnose a true overflow.
-        for (;;) {
-            bool headAged;
-            {
-                MutexLock lk(frontMu_);
-                headAged = batcher_.headAged();
-            }
-            if (!headAged || activeRequests() == 0)
-                break;
-            preemptYoungest();
-            MutexLock lk(frontMu_);
-            admitted =
-                batcher_.admit(freeSlots_.size(), kvTokensInUse());
-            if (!admitted.empty())
-                break;
-        }
-        if (admitted.empty()) {
-            if (activeRequests() > 0)
-                return;
-            MutexLock lk(frontMu_);
-            admitted.push_back(batcher_.admitOne());
-        }
-    }
-    auto t0 = std::chrono::steady_clock::now();
-    std::vector<SlotIdx> fresh;
-    fresh.reserve(admitted.size());
-    for (ServeRequest &req : admitted) {
-        panicIf(freeSlots_.empty(),
-                "admission exceeded free sequence slots");
-        std::size_t slot = freeSlots_.back();
-        freeSlots_.pop_back();
-        ActiveSeq a;
-        a.req = std::move(req);
-        a.admitStamp = ++admitCounter_;
-        // A preempted request re-entering: restore what it had
-        // already produced and the wall time it had accumulated.
-        auto it = resume_.find(a.req.id);
-        if (it != resume_.end()) {
-            a.saved = std::move(it->second.saved);
-            a.preemptions = it->second.preemptions;
-            a.prefillSeconds = it->second.prefillSeconds;
-            a.decodeSeconds = it->second.decodeSeconds;
-            resume_.erase(it);
-        }
-        slots_[slot].emplace(std::move(a));
-        ActiveSeq &as = *slots_[slot];
-        // Prefix-cache hit: attach the cached pages read-only (one
-        // refcount bump per page per layer) so prefill starts at the
-        // matched position. The reservation freezes the private
-        // (novel-tail) demand now — a preempted or retired sharer
-        // later releases exactly this, never the shared pages.
-        if (prefix_)
-            as.prefixLen = prefix_->attach(seqOf(SlotIdx(slot)),
-                                           as.req.prompt);
-        as.reservedTokens = servingKvDemandNet(as.req, as.prefixLen);
-        fresh.push_back(SlotIdx(slot));
-    }
-    {
-        // Register before prefill so a cancel() racing the admission
-        // round still finds the id (it retires next lifecycle pass).
-        MutexLock lk(frontMu_);
-        for (SlotIdx slot : fresh)
-            activeIds_.insert(slots_[slot.value()]->req.id);
-    }
-    // Round-scope fault capture: weight-stream or task-body faults
-    // surface at sync() via the executor's firstError_; they can only
-    // have corrupted this round's prefill state, so every fresh slot
-    // retires with Error while already-active sequences (untouched by
-    // prefill) continue.
-    std::string roundError;
     try {
-        prefillSlots(fresh);
         exec_->sync();
-    } catch (const std::exception &e) {
-        roundError = e.what();
+    } catch (...) {
+        noteKvUsage();
+        throw;
     }
-    prefillHidden_.clear();
-    double secs = servingSecondsSince(t0);
     noteKvUsage();
-    for (SlotIdx slot : fresh) {
-        std::string slotMsg;
-        {
-            MutexLock lk(faultMu_);
-            slotMsg = slotError_[slot.value()];
-        }
-        if (!slotMsg.empty() || !roundError.empty()) {
-            retireTerminal(slot, FinishReason::Error,
-                           slotMsg.empty() ? roundError : slotMsg,
-                           finished);
-            continue;
-        }
-        slots_[slot.value()]->prefillSeconds += secs;
-        // Cache the prompt's closed pages (pin; idempotent for pages
-        // already in the tree) before maybeRetire can free the slot —
-        // pinned pages survive their inserting sequence.
-        if (prefix_)
-            prefix_->insert(seqOf(slot),
-                            slots_[slot.value()]->req.prompt);
-        maybeRetire(slot, finished);
-    }
+}
+
+void
+PipelinedEngine::prefill(const std::vector<SlotIdx> &fresh)
+{
+    // A weight-stream or task-body fault surfaces at sync() and can
+    // only have corrupted this round's prefill state: every fresh
+    // slot retires with Error while already-active sequences
+    // (untouched by prefill) continue.
+    prefillSlots(fresh);
+    syncRound();
+    prefillHidden_.clear();
+    // Cache the prompts' closed pages (pin; idempotent for pages
+    // already in the tree) before the core can retire a finished
+    // slot: pinned pages survive their inserting sequence.
+    if (prefix_)
+        for (SlotIdx slot : fresh)
+            if (!slotFaulted(slot))
+                prefix_->insert(seqOf(slot), active(slot).req.prompt);
 }
 
 void
@@ -660,7 +307,7 @@ PipelinedEngine::prefillSlots(const std::vector<SlotIdx> &slots)
     prefillHidden_.assign(n, {});
     std::size_t max_prompt = 0, max_tail = 0;
     for (std::size_t a = 0; a < n; ++a) {
-        const ActiveSeq &as = *slots_[slots[a].value()];
+        const ActiveSeq &as = active(slots[a]);
         const std::vector<int> &prompt = as.req.prompt;
         // Scratch must still cover the full context: attention at
         // tail position p spans prefix + p + 1 positions.
@@ -772,7 +419,7 @@ PipelinedEngine::prefillAttention(LayerIdx layer, SlotIdx slot,
     const float *k = gpuKB_.data();
     const float *v = gpuVB_.data();
     float *attn = prefillAttn_.data();
-    if (cfg_.kvQuant && slots_[slot.value()]->prefixLen == 0) {
+    if (cfg_.kvQuant && active(slot).prefixLen == 0) {
         // Append the whole prompt, then run the fused causal prefill
         // kernel once: each closed page dequantizes once per KV head
         // instead of once per later position, and the kernel replays
@@ -822,17 +469,10 @@ PipelinedEngine::prefillAttention(LayerIdx layer, SlotIdx slot,
 }
 
 void
-PipelinedEngine::decodeActive(std::vector<RequestOutput> &finished)
+PipelinedEngine::decode(const std::vector<SlotIdx> &live)
 {
     StepState &st = *st_;
-    st.rowSlot.clear();
-    for (std::size_t slot = 0; slot < slots_.size(); ++slot)
-        if (slots_[slot])
-            st.rowSlot.push_back(SlotIdx(slot));
-    if (st.rowSlot.empty())
-        return;
-
-    auto t0 = std::chrono::steady_clock::now();
+    st.rowSlot.assign(live.begin(), live.end());
     std::size_t n_act = st.rowSlot.size();
     st.numUbs = (n_act + cfg_.microBatch - 1) / cfg_.microBatch;
     st.ubStart.assign(st.numUbs + 1, 0);
@@ -858,7 +498,7 @@ PipelinedEngine::decodeActive(std::vector<RequestOutput> &finished)
             SlotIdx slot = st.rowSlot[st.ubStart[j] + r];
             std::memcpy(st.xGpu[j].data() + r * h1_,
                         w_.embedding.row(static_cast<std::size_t>(
-                            slots_[slot.value()]->next)),
+                            active(slot).tokens.back())),
                         h1_ * sizeof(float));
         }
     }
@@ -898,48 +538,14 @@ PipelinedEngine::decodeActive(std::vector<RequestOutput> &finished)
                 store_.loadLayer(LayerIdx(0), te_);
         });
 
-    // Per-slot token counts before the round: a slot retired on a
-    // mid-round fault must not report the garbage token the round's
-    // sampler may still have pushed for it.
-    std::vector<std::size_t> tokBefore(slots_.size(), 0);
-    for (SlotIdx slot : st.rowSlot)
-        tokBefore[slot.value()] = slots_[slot.value()]->tokens.size();
-
-    // Round-scope fault capture: weight-stream and task-body faults
-    // reach sync() via the executor's firstError_. Such a fault
-    // leaves this round's pipeline state (hidden buffers, weight
-    // slots) unreliable for every participant, so the whole round
-    // retires with Error; the engine itself stays serviceable (a
-    // failed weight load leaves its page non-resident, so the next
-    // round or prefill copies it again). Per-slot KV faults caught
-    // inside the offload task stay request-scope.
-    std::string roundError;
-    try {
-        runDecodeChains(st);
-        exec_->sync();
-    } catch (const std::exception &e) {
-        roundError = e.what();
-    }
-    double secs = servingSecondsSince(t0);
-    noteKvUsage();
-    for (SlotIdx slot : st.rowSlot)
-        slots_[slot.value()]->decodeSeconds += secs;
-    for (SlotIdx slot : st.rowSlot) {
-        std::string slotMsg;
-        {
-            MutexLock lk(faultMu_);
-            slotMsg = slotError_[slot.value()];
-        }
-        if (!slotMsg.empty() || !roundError.empty()) {
-            ActiveSeq &a = *slots_[slot.value()];
-            a.tokens.resize(tokBefore[slot.value()]);
-            retireTerminal(slot, FinishReason::Error,
-                           slotMsg.empty() ? roundError : slotMsg,
-                           finished);
-            continue;
-        }
-        maybeRetire(slot, finished);
-    }
+    // A weight-stream or task-body fault leaves this round's pipeline
+    // state (hidden buffers, weight slots) unreliable for every row,
+    // so the core retires the whole round; a failed weight load
+    // leaves its page non-resident, so the next round or prefill
+    // copies it again. Per-slot KV faults caught inside the offload
+    // task stay request-scope.
+    runDecodeChains(st);
+    syncRound();
 }
 
 void
@@ -1225,7 +831,7 @@ PipelinedEngine::route(LayerIdx layer, const float *attn, float *x,
                       gpuRlB_.data(), n, h1_, c.ne, gpuPool_.get());
     routing_.resize(n);
     for (std::size_t r = 0; r < n; ++r)
-        routing_[r] = routeTopK({gpuRlB_.data() + r * c.ne, c.ne}, c.k);
+        routeTopK({gpuRlB_.data() + r * c.ne, c.ne}, c.k, routing_[r]);
 }
 
 void
@@ -1251,11 +857,8 @@ PipelinedEngine::sample(const std::vector<const float *> &rows,
     for (std::size_t r = 0; r < n; ++r) {
         if (slotFaulted(slots[r]))
             continue;
-        int next = static_cast<int>(
-            argmax({gpuLogitsB_.data() + r * vocab_, vocab_}));
-        ActiveSeq &a = *slots_[slots[r].value()];
-        a.tokens.push_back(next);
-        a.next = next;
+        active(slots[r]).tokens.push_back(static_cast<int>(
+            argmax({gpuLogitsB_.data() + r * vocab_, vocab_})));
     }
 }
 

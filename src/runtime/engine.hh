@@ -10,14 +10,15 @@
  * management code paths of the paper, executed with real kernels on
  * a synthetic model.
  *
- * The public surface is the request-level serving API (serving.hh):
- * the engine holds a fixed pool of sequence slots, and every step()
- * is one continuous-batching round — Algorithm 2 admits queued
- * requests into free micro-batch slots, the admitted prompts prefill,
- * every active sequence decodes one token through the Algorithm 1
- * pipeline, and finished sequences retire immediately, releasing
- * their KV pages (float or quantized) back to the pool mid-flight
- * while the rest keep generating.
+ * The public surface is the request-level serving API (serving.hh).
+ * The serving core (Engine) owns the request lifecycle over a fixed
+ * pool of sequence slots: every step() is one continuous-batching
+ * round in which Algorithm 2 admits queued requests into free
+ * micro-batch slots, finished sequences retire immediately and their
+ * KV pages (float or quantized) return to the pool mid-flight while
+ * the rest keep generating. This engine supplies the compute: the
+ * admitted prompts' zigzag prefill and every active sequence's
+ * decode token through the Algorithm 1 pipeline.
  *
  * Router-gated rounds: a decode round with one micro-batch whose
  * rows * k is below the expert count ne cannot touch every expert of
@@ -65,13 +66,9 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
-#include <string>
-#include <unordered_map>
-#include <unordered_set>
 #include <vector>
 
 #include "common/strong_types.hh"
-#include "common/sync.hh"
 #include "common/thread_pool.hh"
 #include "common/units.hh"
 #include "kernels/router.hh"  // TokenRouting (the routing buffer)
@@ -161,18 +158,6 @@ class PipelinedEngine : public Engine
     PipelinedEngine(const ModelWeights &weights, EngineConfig cfg);
     ~PipelinedEngine() override;
 
-    // Request-level serving API (Engine).
-    void submit(ServeRequest req) override;
-    std::vector<RequestOutput> step() override;
-    bool cancel(std::int64_t id) override;
-    std::size_t pendingRequests() const override;
-    std::size_t activeRequests() const override;
-
-    /** Times the engine preempted an active sequence under KV
-     *  pressure (freed its pages and requeued it for prefill
-     *  recompute) over the engine's life. */
-    std::size_t preemptions() const { return preemptions_; }
-
     /** Transfer byte counters since construction. */
     TransferStats transferStats() const { return te_.stats(); }
 
@@ -197,49 +182,23 @@ class PipelinedEngine : public Engine
     }
 
   private:
-    /** One admitted, still-generating request in a sequence slot. */
-    struct ActiveSeq
-    {
-        ServeRequest req;
-        std::vector<int> tokens;  ///< generated since (re)admission
-        /** Tokens generated before a preemption: the resumed req's
-         *  prompt carries them for KV recompute, but the output must
-         *  report them as generated (saved + tokens). */
-        std::vector<int> saved;
-        int next = 0;             ///< token to embed next round
-        int preemptions = 0;      ///< times this request was preempted
-        /** Monotonic admission stamp; the preemption victim is the
-         *  slot with the highest one (youngest loses least work). */
-        std::uint64_t admitStamp = 0;
-        double prefillSeconds = 0.0;
-        double decodeSeconds = 0.0;
-        /** Prompt tokens attached from the prefix cache at admission
-         *  (0 = cold): prefill starts at this position. */
-        std::size_t prefixLen = 0;
-        /** This request's private KV reservation (net of the shared
-         *  prefix) — what kvTokensInUse() reports per slot, frozen at
-         *  admission so later cache eviction can't skew the
-         *  accounting. */
-        std::size_t reservedTokens = 0;
-    };
-
-    /** Carried-over state of a preempted request while it waits in
-     *  the batcher queue for re-admission, keyed by request id. */
-    struct ResumeState
-    {
-        std::vector<int> saved;
-        int preemptions = 0;
-        double prefillSeconds = 0.0;
-        double decodeSeconds = 0.0;
-    };
-
     /** Per-round decode plumbing (buffers reused across rounds). */
     struct StepState;
 
-    void admitPending(std::vector<RequestOutput> &finished);
+    // The serving core's compute hooks (serving.hh).
+    void prefill(const std::vector<SlotIdx> &fresh) override;
+    void decode(const std::vector<SlotIdx> &live) override;
+    void releaseKv(SlotIdx slot) override;
+    std::size_t attachPrefix(SlotIdx slot) override;
+    std::size_t peekPrefix(const ServeRequest &req) const override;
+    std::size_t sharedKvTokens() const override;
+    void checkInvariants() const override;
+
     void prefillSlots(const std::vector<SlotIdx> &slots);
-    void decodeActive(std::vector<RequestOutput> &finished);
     void runDecodeChains(StepState &st);
+    /** Wait for the round's tasks (rethrowing a round fault) and
+     *  sample peak KV usage once its appends have landed. */
+    void syncRound();
 
     // One layer's GPU math over @p n contiguous hidden rows @p x of
     // @p layer, shared by the decode chains (one micro-batch) and the
@@ -272,27 +231,7 @@ class PipelinedEngine : public Engine
     void prefillAttention(LayerIdx layer, SlotIdx slot, std::size_t len,
                           KvViewStorage &view);
 
-    void maybeRetire(SlotIdx slot,
-                     std::vector<RequestOutput> &finished);
-    void processLifecycle(std::vector<RequestOutput> &finished);
-    void retireTerminal(SlotIdx slot, FinishReason reason,
-                        std::string errorMessage,
-                        std::vector<RequestOutput> &finished);
-    void preemptYoungest();
-    /** Free @p slot's KV and return the slot to freeSlots_; the
-     *  caller has taken the request out of the slot and activeIds_. */
-    void releaseSlot(SlotIdx slot);
-    /** The slot->sequence identity map: slot i owns KV sequence i.
-     *  The ONLY place a SlotIdx becomes a SeqId (see
-     *  docs/index_domains.md). */
-    static SeqId seqOf(SlotIdx slot) { return SeqId(slot.value()); }
-    /** Record a request-scope fault for @p slot (from any queue
-     *  thread); first message wins. */
-    void noteSlotFault(SlotIdx slot, const char *what);
-    bool slotFaulted(SlotIdx slot) const;
-    void freeSlotKv(SlotIdx slot);
     std::size_t kvContextLen(SlotIdx slot) const;
-    std::size_t kvTokensInUse() const;
     void ensureAttnScratch(std::size_t ctx);
     void noteKvUsage();
 
@@ -316,44 +255,11 @@ class PipelinedEngine : public Engine
     /** Prefix tree over the KV store's page table (when
      *  cfg_.prefixCache); declared after the store it borrows. */
     std::unique_ptr<PrefixCache> prefix_;
-    /** Total admission budget in request tokens (kvCapacityTokens /
-     *  layers); submit() rejects requests that can never fit it.
-     *  Declared before batcher_ so the batcher is constructed from the
-     *  same value. */
-    std::size_t kvBudgetTokens_ = 0;
-    /** Front-end lock: submit(), cancel(), pendingRequests() and
-     *  activeRequests() are callable from any thread while one driver
-     *  thread runs step() (see the Engine contract in serving.hh).
-     *  Guards the admission queue, the cancellation set and the id
-     *  index of occupied slots; every other member is driver-owned.
-     *  Lock-ordering leaf: never held while taking another lock. */
-    mutable Mutex frontMu_;
-    ContinuousBatcher batcher_ GUARDED_BY(frontMu_);
-
     // Model shapes hoisted from cfg (set once in the constructor).
     std::size_t h1_, qDim_, kvDim_, qkvDim_, vocab_;
     float scale_ = 1.0f;
 
-    // Sequence slots.
-    std::vector<std::optional<ActiveSeq>> slots_;
-    std::vector<std::size_t> freeSlots_;  ///< descending; back = min
     std::size_t kvPeakPages_ = 0;
-
-    // Request lifecycle / fault containment.
-    std::unordered_set<std::int64_t> cancelled_
-        GUARDED_BY(frontMu_);  ///< ids to cancel at the next step()
-    /** Ids currently occupying slots_, maintained at admission and
-     *  retirement so cancel() can probe active requests without
-     *  touching the driver-owned slots_. */
-    std::unordered_set<std::int64_t> activeIds_ GUARDED_BY(frontMu_);
-    std::unordered_map<std::int64_t, ResumeState> resume_;
-    std::uint64_t admitCounter_ = 0;
-    std::size_t preemptions_ = 0;
-    /** Per-slot fault messages recorded by pipeline tasks mid-round
-     *  (empty = healthy); guarded because the DtoH and Gpu queue
-     *  threads record concurrently. Lock-ordering leaf. */
-    mutable Mutex faultMu_;
-    std::vector<std::string> slotError_ GUARDED_BY(faultMu_);
 
     // Gpu-queue scratch for the layer math (grow-only; see
     // growGpuScratch). Only Gpu-queue tasks touch it, one at a time,

@@ -4,25 +4,26 @@
  * MoE transformer forward pass, token by token, with plain contiguous
  * KV tensors. It is the correctness oracle for the pipelined CGOPipe
  * engine — both must emit identical tokens per request for identical
- * weights through the request-level submit()/step() serving API (the
- * reference admits every pending request unconditionally, advances
- * each active request one token per step, and frees a request's KV
- * the moment it finishes, so it is also the oracle for staggered
- * admission and mixed generation lengths).
+ * weights through the request-level submit()/step() serving API.
+ *
+ * The request lifecycle is the shared serving core's (serving.hh),
+ * run with no slot limit and no KV budget: every queued request is
+ * admitted at the next step() into a slot of its own, each active
+ * request advances one token per step, and a request's KV is freed
+ * the moment it finishes. So it is also the oracle for staggered
+ * admission and mixed generation lengths. Only the token math is its
+ * own, and it shares nothing with the pipelined engine's.
  */
 
 #ifndef MOELIGHT_RUNTIME_REFERENCE_ENGINE_HH
 #define MOELIGHT_RUNTIME_REFERENCE_ENGINE_HH
 
-#include <cstdint>
-#include <deque>
 #include <memory>
 #include <optional>
-#include <unordered_set>
+#include <span>
 #include <vector>
 
 #include "common/strong_types.hh"
-#include "common/sync.hh"
 #include "runtime/kv_cache.hh"
 #include "runtime/serving.hh"
 #include "runtime/weights.hh"
@@ -31,11 +32,10 @@ namespace moelight {
 
 /**
  * Single-threaded oracle. Not performance-oriented: prefill is
- * processed token by token through all layers. The compute itself is
- * sequential, but the Engine front-end contract still holds: submit /
- * cancel / pendingRequests / activeRequests are callable from any
- * thread concurrently with one driver's step() (same locking split
- * as PipelinedEngine, so front-end tests exercise both engines).
+ * processed token by token through all layers. The compute is
+ * sequential; the front-end contract (submit / cancel /
+ * pendingRequests / activeRequests callable from any thread) is the
+ * serving core's.
  */
 class ReferenceEngine : public Engine
 {
@@ -52,20 +52,13 @@ class ReferenceEngine : public Engine
         std::optional<QuantKind> kvQuant = std::nullopt,
         std::size_t kvPageTokens = 16);
 
-    // Request-level serving API (Engine).
-    void submit(ServeRequest req) override;
-    std::vector<RequestOutput> step() override;
-    bool cancel(std::int64_t id) override;
-    std::size_t pendingRequests() const override;
-    std::size_t activeRequests() const override;
-
     /**
      * Forward one token of one sequence through the full stack and
      * return the output hidden state (pre-norm). Exposed for
      * fine-grained testing. @p seq indexes the internal KV caches,
      * which are created on first use; avoid mixing manual
-     * forwardToken() streams with in-flight serving requests, which
-     * allocate the same indices.
+     * forwardToken() streams with in-flight serving requests, whose
+     * slots use the same indices.
      */
     std::vector<float> forwardToken(SeqId seq, int token);
 
@@ -83,45 +76,19 @@ class ReferenceEngine : public Engine
          *  mode deliberately keeps the plain vectors above, so the
          *  oracle does not share the pipelined engine's float store. */
         std::unique_ptr<KvCache> quant;
-        std::size_t len = 0;
     };
 
-    /** One admitted, still-generating request. */
-    struct ActiveRequest
-    {
-        ServeRequest req;
-        SeqId seq{0};               ///< index into seqs_
-        std::vector<int> tokens;    ///< generated so far
-        std::vector<float> hidden;  ///< last pre-norm hidden state
-        double prefillSeconds = 0.0;
-        double decodeSeconds = 0.0;
-    };
-
-    SeqCache &cacheFor(SeqId seq);
-    SeqId allocSeq();
-    void freeSeq(SeqId seq);
-    bool reachedEnd(const ActiveRequest &a) const;
-    void retireFinished(std::vector<RequestOutput> &out);
-    /** Retire cancelled and deadline-expired requests — queued or
-     *  active — with terminal outputs, before any compute runs. */
-    void processLifecycle(std::vector<RequestOutput> &out);
+    void prefill(const std::vector<SlotIdx> &fresh) override;
+    void decode(const std::vector<SlotIdx> &live) override;
+    void releaseKv(SlotIdx slot) override;
+    /** Feed @p tokens through @p slot's sequence and append the
+     *  greedy next token; a fault is noted for the slot alone. */
+    void advance(SlotIdx slot, std::span<const int> tokens);
 
     const ModelWeights &w_;
     std::optional<QuantKind> kvQuant_;
     std::size_t kvPageTokens_;
-    std::vector<SeqCache> seqs_;
-    std::vector<SeqId> freeSeqs_;
-    std::vector<ActiveRequest> active_;  ///< driver-owned
-    /** Front-end lock (same split as PipelinedEngine::frontMu_):
-     *  guards the submission queue, the cancellation set and the id
-     *  mirror of active_. Lock-ordering leaf. */
-    mutable Mutex frontMu_;
-    std::deque<ServeRequest> pending_ GUARDED_BY(frontMu_);
-    std::unordered_set<std::int64_t> cancelled_
-        GUARDED_BY(frontMu_);  ///< ids to cancel at the next step()
-    /** Ids of requests in active_, so cancel() needn't touch the
-     *  driver-owned vector. */
-    std::unordered_set<std::int64_t> activeIds_ GUARDED_BY(frontMu_);
+    std::vector<SeqCache> seqs_;  ///< by SeqId; grown on first use
 };
 
 } // namespace moelight

@@ -1,17 +1,20 @@
 /**
  * @file
- * Request-level serving API. The paper's pipeline (§4.1, Appendix
- * A.2) exists to serve many concurrent requests, so the public
- * surface is request-centric: callers submit() individual
- * ServeRequests (each with its own generation budget and stop
- * tokens), drive the engine with step() — one decode round per call,
- * with admission of queued requests and retirement of finished ones
- * happening between rounds — and receive RequestOutputs as sequences
- * finish, Orca/vLLM-style continuous batching rather than a single
- * blocking batch call.
+ * Request-level serving API and the serving core. The paper's
+ * pipeline (§4.1, Appendix A.2) exists to serve many concurrent
+ * requests, so the public surface is request-centric: callers
+ * submit() individual ServeRequests (each with its own generation
+ * budget and stop tokens), drive the engine with step() — one decode
+ * round per call, with admission of queued requests and retirement of
+ * finished ones happening between rounds — and receive RequestOutputs
+ * as sequences finish, Orca/vLLM-style continuous batching rather
+ * than a single blocking batch call.
  *
- * Implemented by both ReferenceEngine (the single-threaded oracle)
- * and PipelinedEngine (the CGOPipe pipeline); for identical weights
+ * Engine is that lifecycle, written once: the front-end lock, the
+ * Algorithm 2 admission queue, sequence slots, preemption, the
+ * cancel/deadline pass and retirement. ReferenceEngine (the
+ * single-threaded oracle) and PipelinedEngine (the CGOPipe pipeline)
+ * derive from it and differ only in compute. For identical weights
  * and KV geometry the two emit identical greedy tokens per request
  * regardless of how admissions interleave, because every sequence's
  * KV stream and per-row arithmetic are independent of its co-batch.
@@ -20,16 +23,20 @@
 #ifndef MOELIGHT_RUNTIME_SERVING_HH
 #define MOELIGHT_RUNTIME_SERVING_HH
 
-#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <optional>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
+#include "common/strong_types.hh"
 #include "common/sync.hh"
 
 namespace moelight {
@@ -104,52 +111,6 @@ struct RequestOutput
     double decodeSeconds = 0.0;
 };
 
-/** True when the last generated token is one of @p req's stop
- *  tokens. Shared by both engines so finish semantics cannot
- *  drift. */
-inline bool
-servingStopHit(const ServeRequest &req, const std::vector<int> &tokens)
-{
-    return !tokens.empty() &&
-           std::find(req.stopTokens.begin(), req.stopTokens.end(),
-                     tokens.back()) != req.stopTokens.end();
-}
-
-/** True when @p req is finished given @p tokens generated so far. */
-inline bool
-servingReachedEnd(const ServeRequest &req,
-                  const std::vector<int> &tokens)
-{
-    return tokens.size() >=
-               static_cast<std::size_t>(req.maxNewTokens) ||
-           servingStopHit(req, tokens);
-}
-
-/** Finish reason for a request that servingReachedEnd(). A stop
- *  token landing exactly on the budget counts as Stop — it would
- *  have ended the request regardless. */
-inline FinishReason
-servingFinishReason(const ServeRequest &req,
-                    const std::vector<int> &tokens)
-{
-    return servingStopHit(req, tokens) ? FinishReason::Stop
-                                       : FinishReason::Length;
-}
-
-/** Submit-time request validation, shared by every Engine
- *  implementation so the oracle and the pipeline accept exactly the
- *  same request set. */
-inline void
-servingValidateRequest(const ServeRequest &req, std::size_t vocab)
-{
-    fatalIf(req.prompt.empty(), "empty prompt");
-    for (int tok : req.prompt)
-        fatalIf(tok < 0 || static_cast<std::size_t>(tok) >= vocab,
-                "prompt token out of vocabulary");
-    fatalIf(req.maxNewTokens <= 0,
-            "generation length must be positive");
-}
-
 /** Wall seconds since @p t0 — the timing unit of RequestOutput. */
 inline double
 servingSecondsSince(std::chrono::steady_clock::time_point t0)
@@ -157,66 +118,6 @@ servingSecondsSince(std::chrono::steady_clock::time_point t0)
     return std::chrono::duration<double>(
                std::chrono::steady_clock::now() - t0)
         .count();
-}
-
-/** Stamp submittedAt if the caller didn't (the deadline epoch). */
-inline void
-servingStampSubmitted(ServeRequest &req)
-{
-    if (req.submittedAt == std::chrono::steady_clock::time_point{})
-        req.submittedAt = std::chrono::steady_clock::now();
-}
-
-/** True when @p req carries a deadline and it has passed. */
-inline bool
-servingDeadlineExpired(const ServeRequest &req)
-{
-    return req.deadlineMs > 0.0 &&
-           servingSecondsSince(req.submittedAt) * 1000.0 >
-               req.deadlineMs;
-}
-
-/** Build the RequestOutput for a finished request — one place for
- *  both engines, so a new output field cannot be wired into one
- *  retirement path and forgotten in the other. */
-// NOLINTBEGIN(bugprone-easily-swappable-parameters): the two
-// durations are phase timings in a fixed (prefill, decode) order that
-// mirrors the RequestOutput fields they fill one line later.
-inline RequestOutput
-servingMakeOutput(const ServeRequest &req, std::vector<int> &&tokens,
-                  double prefillSeconds, double decodeSeconds)
-// NOLINTEND(bugprone-easily-swappable-parameters)
-{
-    RequestOutput r;
-    r.id = req.id;
-    r.finishReason = servingFinishReason(req, tokens);
-    r.tokens = std::move(tokens);
-    r.prefillSeconds = prefillSeconds;
-    r.decodeSeconds = decodeSeconds;
-    return r;
-}
-
-/** Build the RequestOutput for a request retired on a terminal
- *  lifecycle event (Cancelled / TimedOut / Error) with whatever
- *  tokens it had generated so far — the single construction point
- *  for both engines, like servingMakeOutput for natural finishes. */
-// NOLINTBEGIN(bugprone-easily-swappable-parameters): same (prefill,
-// decode) timing pair as servingMakeOutput above.
-inline RequestOutput
-servingMakeTerminalOutput(const ServeRequest &req,
-                          std::vector<int> &&tokens,
-                          FinishReason reason, std::string errorMessage,
-                          double prefillSeconds, double decodeSeconds)
-// NOLINTEND(bugprone-easily-swappable-parameters)
-{
-    RequestOutput r;
-    r.id = req.id;
-    r.finishReason = reason;
-    r.tokens = std::move(tokens);
-    r.errorMessage = std::move(errorMessage);
-    r.prefillSeconds = prefillSeconds;
-    r.decodeSeconds = decodeSeconds;
-    return r;
 }
 
 /**
@@ -251,61 +152,6 @@ servingKvDemandNet(const ServeRequest &req, std::size_t cachedTokens)
 }
 
 /**
- * Abstract serving engine: the request-level interface both the
- * reference and the pipelined engine implement.
- *
- * Contract: submit() validates and enqueues; step() performs one
- * serving round — admit pending requests (capacity permitting), run
- * one decode iteration for every active sequence, retire finished
- * ones (releasing their KV immediately) — and returns the requests
- * that finished in that round.
- *
- * Threading: submit(), cancel(), pendingRequests(), activeRequests()
- * and idle() may be called from any thread, concurrently with a
- * step() in flight. step() / drain() belong to exactly
- * one driver thread at a time — two concurrent step() calls are a
- * contract violation (detected in debug builds). See
- * docs/concurrency.md for the locking model behind this split.
- */
-class Engine
-{
-  public:
-    virtual ~Engine() = default;
-
-    /** Enqueue @p req. Fatal on empty prompt, out-of-vocab token, or
-     *  non-positive maxNewTokens. */
-    virtual void submit(ServeRequest req) = 0;
-
-    /** One serving round; returns requests that finished in it. */
-    virtual std::vector<RequestOutput> step() = 0;
-
-    /**
-     * Request cancellation of the in-flight request @p id (queued or
-     * generating). Returns true when the id was found; its
-     * RequestOutput (FinishReason::Cancelled, partial tokens) is
-     * returned by the next step(), which also releases its KV pages.
-     * False when the id is unknown or already finished. Callable from
-     * any thread, including concurrently with step().
-     */
-    virtual bool cancel(std::int64_t id) = 0;
-
-    /** Requests submitted but not yet admitted. */
-    virtual std::size_t pendingRequests() const = 0;
-    /** Requests admitted and still generating. */
-    virtual std::size_t activeRequests() const = 0;
-
-    /** No queued and no in-flight work. */
-    bool
-    idle() const
-    {
-        return pendingRequests() == 0 && activeRequests() == 0;
-    }
-
-    /** step() until idle; returns all outputs in finish order. */
-    std::vector<RequestOutput> drain();
-};
-
-/**
  * Continuous-batching admission control: a FIFO of submitted requests
  * plus the Algorithm 2 (Appendix A.2) planner deciding, between
  * decode rounds, which of them fit the currently free micro-batch
@@ -316,7 +162,7 @@ class Engine
  * Single-threaded-by-contract: the batcher has no internal locking.
  * It IS touched from several threads — the engine's front-end calls
  * enqueue() from submitters while the driver admits — but every
- * access is serialized externally (PipelinedEngine::frontMu_).
+ * access is serialized externally (Engine::frontMu_).
  * Debug builds assert the serialization on every mutating call.
  */
 class ContinuousBatcher
@@ -431,6 +277,215 @@ class ContinuousBatcher
     std::function<std::size_t(const ServeRequest &)> demandOracle_;
     std::deque<ServeRequest> queue_;
     mutable DebugSerialGate gate_;  ///< caller-serialization check
+};
+
+/**
+ * The serving core: the request lifecycle both engines share, around
+ * the compute each one supplies (paper Algorithm 2, Appendix A.2, with
+ * Orca-style iteration-level scheduling).
+ *
+ * Contract: submit() validates and enqueues; step() performs one
+ * serving round — retire cancelled and expired requests, admit
+ * pending ones into free sequence slots (capacity permitting),
+ * prefill them, run one decode iteration for every active sequence,
+ * retire finished ones (releasing their KV immediately) — and returns
+ * the requests that finished in that round.
+ *
+ * Guarantee: every submitted request retires exactly once, with one
+ * RequestOutput, and its slot and KV are released before that output
+ * is returned. The core owns every path that builds an output, so
+ * the guarantee is stated (and tested) once for both engines.
+ *
+ * Threading: submit(), cancel(), pendingRequests(), activeRequests()
+ * and idle() may be called from any thread, concurrently with a
+ * step() in flight. step() / drain() belong to exactly
+ * one driver thread at a time — two concurrent step() calls are a
+ * contract violation (detected in debug builds). See
+ * docs/concurrency.md for the locking model behind this split.
+ *
+ * A subclass supplies only compute, through the protected hooks:
+ * prefill() and decode() over slots, releaseKv() of one slot, and the
+ * prefix-cache hooks admission consults.
+ */
+class Engine
+{
+  public:
+    virtual ~Engine();
+    Engine(const Engine &) = delete;
+    Engine &operator=(const Engine &) = delete;
+
+    /** Enqueue @p req. Fatal on empty prompt, out-of-vocab token,
+     *  non-positive maxNewTokens, or a KV demand larger than the
+     *  engine's whole budget. */
+    void submit(ServeRequest req);
+
+    /** One serving round; returns requests that finished in it. */
+    std::vector<RequestOutput> step();
+
+    /**
+     * Request cancellation of the in-flight request @p id (queued or
+     * generating). Returns true when the id was found; its
+     * RequestOutput (FinishReason::Cancelled, partial tokens) is
+     * returned by the next step(), which also releases its KV pages.
+     * False when the id is unknown or already finished. Callable from
+     * any thread, including concurrently with step().
+     */
+    bool cancel(std::int64_t id);
+
+    /** Requests submitted but not yet admitted. */
+    std::size_t pendingRequests() const;
+    /** Requests admitted and still generating. */
+    std::size_t activeRequests() const;
+
+    /** No queued and no in-flight work. */
+    bool
+    idle() const
+    {
+        return pendingRequests() == 0 && activeRequests() == 0;
+    }
+
+    /** step() until idle; returns all outputs in finish order. */
+    std::vector<RequestOutput> drain();
+
+    /** Times the engine preempted an active sequence under KV
+     *  pressure (freed its pages and requeued it for prefill
+     *  recompute) over the engine's life. */
+    std::size_t preemptions() const { return preemptions_; }
+
+  protected:
+    /** What admission may fill. */
+    struct Limits
+    {
+        std::size_t vocab = 0;  ///< submit() validates prompts against it
+        /** Sequence slots; 0 = unbounded, and every queued request is
+         *  admitted at the next step(). */
+        std::size_t slots = 0;
+        std::size_t microBatch = 1;  ///< Algorithm 2 partition size
+        /** Admission budget in request tokens; 0 = unlimited. */
+        std::size_t kvBudgetTokens = 0;
+        std::size_t headAgeLimit = ContinuousBatcher::kHeadAgeLimit;
+    };
+
+    /** One admitted, still-generating request in a sequence slot. */
+    struct ActiveSeq
+    {
+        /** After a preemption the prompt carries the tokens generated
+         *  before it (recomputed at re-admission) and the budget is
+         *  net of them. */
+        ServeRequest req;
+        std::vector<int> tokens;  ///< generated since (re)admission
+        /** Prompt tokens attached from the prefix cache at admission
+         *  (0 = cold): prefill starts at this position. */
+        std::size_t prefixLen = 0;
+    };
+
+    explicit Engine(Limits limits);
+
+    /** Prefill @p fresh slots' prompts from their prefixLen on and
+     *  append each one's first sampled token. A fault confined to one
+     *  slot is noted with noteSlotFault(); a throw faults the whole
+     *  round. */
+    virtual void prefill(const std::vector<SlotIdx> &fresh) = 0;
+    /** Decode one token for each of @p live slots, feeding back its
+     *  last token; same fault rules as prefill(). */
+    virtual void decode(const std::vector<SlotIdx> &live) = 0;
+    /** Free @p slot's KV. It may hold none: a request that faulted
+     *  before its first append. */
+    virtual void releaseKv(SlotIdx slot) = 0;
+    /** Admission: attach cached prefix pages to the newly occupied
+     *  @p slot; returns the prompt tokens attached. */
+    virtual std::size_t attachPrefix(SlotIdx) { return 0; }
+    /** Prompt tokens attachPrefix() would attach for @p req now:
+     *  admission charges a request only its novel tail. */
+    virtual std::size_t peekPrefix(const ServeRequest &) const { return 0; }
+    /** Request tokens of shared cached pages, charged once on top of
+     *  every slot's private reservation. */
+    virtual std::size_t sharedKvTokens() const { return 0; }
+    /** Debug builds run this at the end of every step(). */
+    virtual void checkInvariants() const {}
+
+    /** The request in occupied @p slot (driver and round tasks). */
+    ActiveSeq &active(SlotIdx slot) { return slots_[slot.value()]->seq; }
+    const ActiveSeq &
+    active(SlotIdx slot) const
+    {
+        return slots_[slot.value()]->seq;
+    }
+    /** The slot->sequence identity map: slot i owns KV sequence i.
+     *  The ONLY place a SlotIdx becomes a SeqId (see
+     *  docs/index_domains.md). */
+    static SeqId seqOf(SlotIdx slot) { return SeqId(slot.value()); }
+    /** Record a request-scope fault for @p slot from any thread
+     *  during a round; first message wins. */
+    void noteSlotFault(SlotIdx slot, const char *what);
+    bool slotFaulted(SlotIdx slot) const;
+
+  private:
+    /** What a request has produced so far; carried across
+     *  preemption while it waits to be re-admitted. */
+    struct Progress
+    {
+        std::vector<int> saved;  ///< tokens generated before preemptions
+        int preemptions = 0;
+        double prefillSeconds = 0.0;
+        double decodeSeconds = 0.0;
+    };
+    struct Slot
+    {
+        ActiveSeq seq;
+        Progress progress;
+        /** Monotonic admission stamp; the preemption victim is the
+         *  slot with the highest one (youngest loses least work). */
+        std::uint64_t admitStamp = 0;
+        /** Private KV reservation (net of the shared prefix), frozen
+         *  at admission so later cache eviction can't skew the
+         *  accounting. */
+        std::size_t reservedTokens = 0;
+    };
+
+    void processLifecycle(std::vector<RequestOutput> &done);
+    std::vector<SlotIdx> admit();
+    /** Take the planned (or, with @p force, the oldest) requests off
+     *  the queue and register them active, in one critical section. */
+    std::vector<ServeRequest> plan(bool force);
+    void preemptYoungest();
+    /** Run one prefill or decode round over @p round and settle it. */
+    void runRound(const std::vector<SlotIdx> &round, bool isPrefill,
+                  std::vector<RequestOutput> &done);
+    /** Retire @p slot: release its KV and the slot, emit its output. */
+    void retire(SlotIdx slot, FinishReason why, std::string error,
+                std::vector<RequestOutput> &done);
+    void releaseSlot(SlotIdx slot);
+    /** The one place a RequestOutput is built. */
+    static RequestOutput output(std::int64_t id, Progress &&progress,
+                                FinishReason why, std::string error);
+    std::size_t kvTokensInUse() const;
+
+    const Limits limits_;
+    /** Front-end lock: guards the admission queue, the cancellation
+     *  set and the id index of occupied slots; every other member is
+     *  driver-owned. Lock-ordering leaf: never held while taking
+     *  another lock. */
+    mutable Mutex frontMu_;
+    ContinuousBatcher batcher_ GUARDED_BY(frontMu_);
+    std::unordered_set<std::int64_t> cancelled_
+        GUARDED_BY(frontMu_);  ///< ids to cancel at the next step()
+    /** Ids of admitted requests, maintained at admission and
+     *  retirement so cancel() can probe active requests without
+     *  touching the driver-owned slots_. */
+    std::unordered_set<std::int64_t> activeIds_ GUARDED_BY(frontMu_);
+
+    std::vector<std::optional<Slot>> slots_;
+    std::vector<std::size_t> freeSlots_;  ///< descending; back = min
+    /** Preempted requests waiting in the queue, by id. */
+    std::unordered_map<std::int64_t, Progress> resume_;
+    std::uint64_t admitCounter_ = 0;
+    std::size_t preemptions_ = 0;
+    /** Per-slot fault messages recorded by round tasks (empty =
+     *  healthy); guarded because several queue threads record
+     *  concurrently. Lock-ordering leaf. */
+    mutable Mutex faultMu_;
+    std::vector<std::string> slotError_ GUARDED_BY(faultMu_);
 };
 
 } // namespace moelight

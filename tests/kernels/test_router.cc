@@ -40,6 +40,36 @@ TEST(Router, TieBreaksTowardLowerId)
     EXPECT_NEAR(r.weights[0], 0.5f, 1e-6f);
 }
 
+TEST(Router, TiesMatchStableSortOrder)
+{
+    // Logits drawn from three values, so most picks are ties: the
+    // selection must equal a stable descending sort's first k.
+    Rng rng(17);
+    const std::size_t ne = 8;
+    TokenRouting reused;
+    for (int trial = 0; trial < 200; ++trial) {
+        std::vector<float> logits(ne);
+        for (auto &v : logits)
+            v = static_cast<float>(rng.uniformInt(0, 2));
+        std::vector<int> order(ne);
+        for (std::size_t e = 0; e < ne; ++e)
+            order[e] = static_cast<int>(e);
+        std::stable_sort(order.begin(), order.end(), [&](int a, int b) {
+            return logits[static_cast<std::size_t>(a)] >
+                   logits[static_cast<std::size_t>(b)];
+        });
+        for (std::size_t k : {1u, 2u, 3u, 8u}) {
+            // One row reused across calls, as the engine's routing
+            // buffer is: stale entries must not leak into the pick.
+            routeTopK({logits.data(), ne}, k, reused);
+            EXPECT_EQ(reused.experts,
+                      std::vector<int>(order.begin(),
+                                       order.begin() + static_cast<long>(k)));
+            EXPECT_EQ(reused.weights.size(), k);
+        }
+    }
+}
+
 TEST(Router, KEqualsNExpertsUsesAll)
 {
     std::vector<float> logits{3.0f, 1.0f, 2.0f};

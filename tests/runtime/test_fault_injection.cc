@@ -15,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <map>
 #include <thread>
@@ -204,6 +205,12 @@ TEST_P(FaultContainment, FaultedRetiresErrorSurvivorsBitIdentical)
         if (o.finishReason == FinishReason::Error) {
             ++errored;
             EXPECT_FALSE(o.errorMessage.empty());
+            // No token of the faulted round escapes, prefill rounds
+            // included: what comes back was sampled by clean rounds.
+            ASSERT_LE(o.tokens.size(), want[o.id].size());
+            EXPECT_TRUE(std::equal(o.tokens.begin(), o.tokens.end(),
+                                   want[o.id].begin()))
+                << "errored " << o.id << " reports a faulted token";
             continue;
         }
         EXPECT_EQ(o.finishReason, FinishReason::Length);
@@ -419,11 +426,9 @@ TEST(Lifecycle, CancelOnReferenceEngine)
         w, [&] { return std::make_unique<ReferenceEngine>(w); });
 }
 
-template <typename MakeEngine>
 void
-runDeadlineLifecycle(const ModelWeights &w, MakeEngine makeEngine)
+runDeadlineLifecycle(const ModelWeights &w, Engine &eng)
 {
-    auto eng = makeEngine();
     ServeRequest slow, fast;
     slow.id = 1;
     slow.prompt = makePrompt(w.cfg, 4, 31);
@@ -432,11 +437,11 @@ runDeadlineLifecycle(const ModelWeights &w, MakeEngine makeEngine)
     fast.id = 2;
     fast.prompt = makePrompt(w.cfg, 4, 32);
     fast.maxNewTokens = 3;   // no deadline
-    eng->submit(slow);
-    eng->submit(fast);
+    eng.submit(slow);
+    eng.submit(fast);
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
 
-    std::vector<RequestOutput> outs = eng->drain();
+    std::vector<RequestOutput> outs = eng.drain();
     ASSERT_EQ(outs.size(), 2u);
     std::map<std::int64_t, RequestOutput> byId;
     for (auto &o : outs)
@@ -444,7 +449,7 @@ runDeadlineLifecycle(const ModelWeights &w, MakeEngine makeEngine)
     EXPECT_EQ(byId[1].finishReason, FinishReason::TimedOut);
     EXPECT_EQ(byId[2].finishReason, FinishReason::Length);
     EXPECT_EQ(byId[2].tokens, referenceTokens(w, fast));
-    EXPECT_TRUE(eng->idle());
+    EXPECT_TRUE(eng.idle());
 }
 
 TEST(Lifecycle, DeadlineOnPipelinedEngine)
@@ -453,18 +458,17 @@ TEST(Lifecycle, DeadlineOnPipelinedEngine)
     EngineConfig ec;
     ec.microBatch = 2;
     ec.kvPageTokens = 4;
-    auto make = [&] { return std::make_unique<PipelinedEngine>(w, ec); };
-    runDeadlineLifecycle(w, make);
-    // And pages are provably back.
-    PipelinedEngine probe(w, ec);
-    EXPECT_EQ(probe.kvUsedPages(), 0u);
+    PipelinedEngine eng(w, ec);
+    runDeadlineLifecycle(w, eng);
+    // And the serving engine's pages are provably back.
+    EXPECT_EQ(eng.kvUsedPages(), 0u);
 }
 
 TEST(Lifecycle, DeadlineOnReferenceEngine)
 {
     ModelWeights w = ModelWeights::random(tinyMixtral(), 22);
-    runDeadlineLifecycle(
-        w, [&] { return std::make_unique<ReferenceEngine>(w); });
+    ReferenceEngine eng(w);
+    runDeadlineLifecycle(w, eng);
 }
 
 TEST(Lifecycle, CancelReleasesKvPagesImmediately)
@@ -547,6 +551,76 @@ TEST(Preemption, AgedHeadPreemptsYoungestAndRecomputesBitIdentical)
     }
     EXPECT_GE(preemptedOutputs, 1);
     EXPECT_EQ(eng.kvUsedPages(), 0u);
+}
+
+TEST(Preemption, VictimCancelledWhileQueuedKeepsItsSavedTokens)
+{
+    // The preempted request waits in the queue with its progress in
+    // the resume map; cancelling it there must return the tokens it
+    // had generated before the preemption.
+    ModelWeights w = ModelWeights::random(tinyMixtral(), 78);
+    EngineConfig ec;
+    ec.microBatch = 2;
+    ec.maxConcurrency = 4;
+    ec.kvPageTokens = 4;
+    ec.kvCapacityTokens = 96;  // 24 request tokens: two 12s pin it
+    ec.headAgeLimit = 2;
+    PipelinedEngine eng(w, ec);
+
+    std::vector<ServeRequest> reqs;
+    for (int i = 0; i < 3; ++i) {
+        ServeRequest r;
+        r.id = i;
+        r.prompt = makePrompt(w.cfg, 4, static_cast<std::uint64_t>(i) + 64);
+        r.maxNewTokens = i < 2 ? 8 : 4;
+        reqs.push_back(std::move(r));
+    }
+    std::map<std::int64_t, std::vector<int>> want;
+    for (const auto &r : reqs)
+        want[r.id] = referenceTokens(w, r);
+
+    eng.submit(reqs[0]);
+    eng.submit(reqs[1]);
+    std::vector<RequestOutput> outs = eng.step();
+    eng.submit(reqs[2]);
+    while (eng.preemptions() == 0) {
+        ASSERT_FALSE(eng.idle()) << "drained without a preemption";
+        std::vector<RequestOutput> round = eng.step();
+        outs.insert(outs.end(), round.begin(), round.end());
+    }
+    ASSERT_TRUE(outs.empty()) << "nothing finishes before the preemption";
+    // The aged head took the victim's place; the victim is queued.
+    ASSERT_EQ(eng.pendingRequests(), 1u);
+    EXPECT_TRUE(eng.cancel(0));
+    EXPECT_TRUE(eng.cancel(1));
+    outs = eng.drain();
+
+    ASSERT_EQ(outs.size(), 3u);
+    std::map<std::int64_t, RequestOutput> byId;
+    for (auto &o : outs)
+        byId[o.id] = std::move(o);
+    int victims = 0;
+    for (std::int64_t id : {0, 1}) {
+        const RequestOutput &o = byId[id];
+        EXPECT_EQ(o.finishReason, FinishReason::Cancelled);
+        ASSERT_LE(o.tokens.size(), want[id].size());
+        EXPECT_TRUE(std::equal(o.tokens.begin(), o.tokens.end(),
+                               want[id].begin()))
+            << "request " << id << " tokens must prefix its full run";
+        if (o.preemptions == 1) {
+            ++victims;
+            EXPECT_FALSE(o.tokens.empty())
+                << "the victim's pre-preemption tokens come back";
+        } else {
+            EXPECT_EQ(o.preemptions, 0);
+        }
+    }
+    EXPECT_EQ(victims, 1);
+    EXPECT_EQ(byId[2].finishReason, FinishReason::Length);
+    EXPECT_EQ(byId[2].tokens, want[2]);
+    EXPECT_EQ(eng.preemptions(), 1u);
+    EXPECT_EQ(eng.kvUsedPages(), 0u);
+    EXPECT_TRUE(eng.idle());
 }
 
 } // namespace

@@ -14,6 +14,7 @@
 
 #include <algorithm>
 #include <map>
+#include <utility>
 
 #include "common/rng.hh"
 #include "runtime/engine.hh"
@@ -622,6 +623,103 @@ TEST(Serving, OversizedRequestRejectedAtSubmit)
     std::vector<RequestOutput> out = eng.drain();
     ASSERT_EQ(out.size(), 1u);
     EXPECT_EQ(out[0].tokens.size(), 4u);
+}
+
+/** Serve @p reqs through @p eng and return each output's (reason,
+ *  tokens) by id. */
+std::map<std::int64_t, std::pair<FinishReason, std::vector<int>>>
+serveOutcomes(Engine &eng, const std::vector<ServeRequest> &reqs)
+{
+    for (const ServeRequest &r : reqs)
+        eng.submit(r);
+    std::map<std::int64_t, std::pair<FinishReason, std::vector<int>>> out;
+    for (RequestOutput &o : eng.drain()) {
+        EXPECT_EQ(out.count(o.id), 0u) << "request " << o.id
+                                       << " retired twice";
+        out[o.id] = {o.finishReason, std::move(o.tokens)};
+    }
+    EXPECT_TRUE(eng.idle());
+    return out;
+}
+
+TEST(Serving, OneTokenBudgetRetiresRightAfterPrefill)
+{
+    // maxNewTokens = 1: the prefill samples the only token, and the
+    // request retires in the same step without ever decoding, while a
+    // co-admitted request keeps generating.
+    ModelWeights w = ModelWeights::random(tinyMixtral(), 71);
+    std::vector<ServeRequest> reqs;
+    for (int i = 0; i < 3; ++i) {
+        ServeRequest r;
+        r.id = i;
+        r.prompt = makePrompt(w.cfg, 3 + static_cast<std::size_t>(i),
+                              static_cast<std::uint64_t>(i) + 80);
+        r.maxNewTokens = i == 2 ? 5 : 1;
+        reqs.push_back(std::move(r));
+    }
+    EngineConfig ec;
+    ec.microBatch = 2;
+    ec.kvPageTokens = 4;
+    PipelinedEngine pipe(w, ec);
+    ReferenceEngine ref(w);
+    auto got = serveOutcomes(pipe, reqs);
+    auto want = serveOutcomes(ref, reqs);
+    EXPECT_EQ(got, want);
+    ASSERT_EQ(got.size(), 3u);
+    for (int id : {0, 1}) {
+        EXPECT_EQ(got[id].first, FinishReason::Length);
+        EXPECT_EQ(got[id].second.size(), 1u);
+        EXPECT_EQ(got[id].second[0], referenceTokens(w, reqs[id])[0]);
+    }
+    EXPECT_EQ(got[2].second.size(), 5u);
+    EXPECT_EQ(pipe.kvUsedPages(), 0u);
+
+    // Alone, too: admitted, prefilled and retired in one step().
+    PipelinedEngine solo(w, ec);
+    solo.submit(reqs[0]);
+    std::vector<RequestOutput> first = solo.step();
+    ASSERT_EQ(first.size(), 1u);
+    EXPECT_EQ(first[0].tokens, got[0].second);
+    EXPECT_TRUE(solo.idle());
+}
+
+TEST(Serving, StopOnFirstSampledToken)
+{
+    // A stop token that is the very first sampled token ends the
+    // request at prefill with exactly that token and reason Stop.
+    ModelWeights w = ModelWeights::random(tinyMixtral(), 72);
+    std::vector<ServeRequest> reqs;
+    for (int i = 0; i < 3; ++i) {
+        ServeRequest r;
+        r.id = i;
+        r.prompt = makePrompt(w.cfg, 5, static_cast<std::uint64_t>(i) + 90);
+        r.maxNewTokens = 6;
+        reqs.push_back(std::move(r));
+    }
+    std::vector<int> full0 = referenceTokens(w, reqs[0]);
+    std::vector<int> full1 = referenceTokens(w, reqs[1]);
+    reqs[0].stopTokens = {full0[0]};
+    // A stop token that never comes leaves the request at Length.
+    for (int t = 0; t < static_cast<int>(w.cfg.vocab); ++t)
+        if (std::find(full1.begin(), full1.end(), t) == full1.end()) {
+            reqs[1].stopTokens = {t};
+            break;
+        }
+    EngineConfig ec;
+    ec.microBatch = 2;
+    ec.kvPageTokens = 4;
+    PipelinedEngine pipe(w, ec);
+    ReferenceEngine ref(w);
+    auto got = serveOutcomes(pipe, reqs);
+    auto want = serveOutcomes(ref, reqs);
+    EXPECT_EQ(got, want);
+    ASSERT_EQ(got.size(), 3u);
+    EXPECT_EQ(got[0].first, FinishReason::Stop);
+    EXPECT_EQ(got[0].second, std::vector<int>{full0[0]});
+    EXPECT_EQ(got[1].first, FinishReason::Length);
+    EXPECT_EQ(got[1].second, full1);
+    EXPECT_EQ(got[2].first, FinishReason::Length);
+    EXPECT_EQ(pipe.kvUsedPages(), 0u);
 }
 
 } // namespace
