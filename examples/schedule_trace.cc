@@ -46,7 +46,9 @@ main(int argc, char **argv)
               << pol.str() << ", " << opt.layers
               << " layers x 3 decode steps\n";
     std::cout << "legend: A=PreAttn B=Attention C=PostAttn "
-                 "H=hidden-load Q=QKV-offload W=weight page\n\n";
+                 "H=hidden-load Q=QKV-offload W=weight page; "
+                 "router-gated rounds split C into R=Route "
+                 "F=FetchExperts E=Ffn\n\n";
 
     Table t({"schedule", "decode_step_s", "gpu", "cpu", "htod",
              "dtoh"});

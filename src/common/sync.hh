@@ -164,8 +164,8 @@ class CondVar
  * invariant: at most one thread inside a mutating section at a time.
  * Same-thread reentry is allowed — PageTable::appendToken's reclaim
  * hook evicts (and unpins) from inside the append. A couple of
- * atomic ops per guarded call in debug builds, fully compiled away
- * in release (NDEBUG).
+ * atomic ops per guarded call, fully compiled away under NDEBUG
+ * (which the repo's Release flags do not define).
  */
 class DebugSerialGate
 {

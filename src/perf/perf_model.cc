@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "sched/round_plan.hh"
 
 namespace moelight {
 
@@ -101,15 +102,6 @@ PerfModel::hiddenLoadTime(std::size_t mu) const
            hw_.effBcg();
 }
 
-double
-PerfModel::streamedExperts(const Policy &pol) const
-{
-    double routed = static_cast<double>(pol.microBatch) *
-                    static_cast<double>(model_.k);
-    double ne = static_cast<double>(model_.ne);
-    return pol.numUbs() == 1 && routed < ne ? routed : ne;
-}
-
 Seconds
 PerfModel::layerStreamTime(const Policy &pol, double experts) const
 {
@@ -125,7 +117,11 @@ PerfModel::layerStreamTime(const Policy &pol, double experts) const
 Seconds
 PerfModel::weightStreamTime(const Policy &pol) const
 {
-    return layerStreamTime(pol, streamedExperts(pol));
+    bool gated =
+        routerGated(pol.numUbs(), pol.microBatch, model_.k, model_.ne);
+    return layerStreamTime(
+        pol, static_cast<double>(gated ? pol.microBatch * model_.k
+                                       : model_.ne));
 }
 
 Seconds

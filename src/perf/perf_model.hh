@@ -69,10 +69,13 @@ class PerfModel
      * Per-layer decode weight stream. A round of one micro-batch whose
      * mu * k routed slots are fewer than ne streams the dense weights
      * plus only mu * k experts, fetched after the router runs — the
-     * same rule the engine's router-gated rounds apply; any other
-     * round streams the whole layer.
+     * same rule the engine's router-gated rounds apply (routerGated,
+     * sched/round_plan.hh); any other round streams the whole layer.
      */
     Seconds weightStreamTime(const Policy &pol) const;
+    /** Stream time of one layer's weights with @p experts of its ne
+     *  expert FFNs included. */
+    Seconds layerStreamTime(const Policy &pol, double experts) const;
     Seconds kvLoadTime(std::size_t mu, const Policy &pol) const;
 
     /** Eq. 12 layer decode latency under a CGOPipe-quality overlap. */
@@ -101,13 +104,6 @@ class PerfModel
     bool padded() const { return padded_; }
 
   private:
-    /** Experts a decode layer streams under @p pol (see
-     *  weightStreamTime). */
-    double streamedExperts(const Policy &pol) const;
-    /** Stream time of one layer's weights with @p experts of its ne
-     *  expert FFNs included. */
-    Seconds layerStreamTime(const Policy &pol, double experts) const;
-
     ModelConfig model_;
     HardwareConfig hw_;
     WorkloadShape w_;

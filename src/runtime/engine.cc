@@ -48,7 +48,6 @@ EngineConfig::validate() const
     fatalIf(kvCapacityTokens == 0,
             "EngineConfig.kvCapacityTokens must be positive "
             "(total KV token budget)");
-    fatalIf(lookahead == 0, "EngineConfig.lookahead must be >= 1");
     fatalIf(maxConcurrency == 0,
             "EngineConfig.maxConcurrency must be positive "
             "(concurrent sequence slots)");
@@ -74,17 +73,6 @@ struct PipelinedEngine::StepState
     // Host side.
     std::vector<std::vector<float>> qkvCpu;
     std::vector<std::vector<float>> attnCpu;
-
-    /** Router-gated round (see engine.hh): layers stream only their
-     *  dense pages ahead, and each layer's routed experts are
-     *  fetched after its router runs. */
-    bool gated = false;
-
-    // Pipeline events (fresh every round; rounds are synced).
-    std::vector<EventPtr> weightsReady;  ///< per layer
-    std::vector<EventPtr> postPerUb;     ///< last Post event per ub
-    std::vector<EventPtr> slotBusy;      ///< per weight slot
-    std::vector<std::vector<EventPtr>> cattn;  ///< [layer][ub]
 
     std::size_t
     ubSize(std::size_t j) const
@@ -112,7 +100,7 @@ PipelinedEngine::PipelinedEngine(const ModelWeights &weights,
       cfg_(cfg),
       pinned_("pinned", maxTensorFloats(weights.cfg), 4),
       te_(pinned_, cfg.throttleBw),
-      store_(weights, pinned_, 2),
+      store_(weights, pinned_, kWeightSlots),
       kv_(weights.cfg, cfg.maxConcurrency, cfg.kvPageTokens, cfg.kvQuant,
           cfg.kvCapacityTokens)
 {
@@ -148,6 +136,7 @@ PipelinedEngine::PipelinedEngine(const ModelWeights &weights,
 
     growGpuScratch(cfg_.microBatch, cfg_.microBatch);
 
+    prefillPlan_ = planPrefillRound(c.l, store_.pagesPerLayer());
     st_ = std::make_unique<StepState>();
     exec_ = std::make_unique<StreamExecutor>();
 }
@@ -279,7 +268,8 @@ PipelinedEngine::prefill(const std::vector<SlotIdx> &fresh)
     // only have corrupted this round's prefill state: every fresh
     // slot retires with Error while already-active sequences
     // (untouched by prefill) continue.
-    prefillSlots(fresh);
+    stagePrefill(fresh);
+    submitPlan(prefillPlan_);
     syncRound();
     prefillHidden_.clear();
     // Cache the prompts' closed pages (pin; idempotent for pages
@@ -292,7 +282,7 @@ PipelinedEngine::prefill(const std::vector<SlotIdx> &fresh)
 }
 
 void
-PipelinedEngine::prefillSlots(const std::vector<SlotIdx> &slots)
+PipelinedEngine::stagePrefill(const std::vector<SlotIdx> &slots)
 {
     const ModelConfig &cfg = w_.cfg;
     std::size_t n = slots.size();
@@ -302,8 +292,8 @@ PipelinedEngine::prefillSlots(const std::vector<SlotIdx> &slots)
     // already hold those positions' K/V, and no later position's
     // output depends on a prefix position's hidden state except
     // through them. The tail is never empty (the prefix cache matches
-    // at most prompt-1 tokens), so the bootstrap below always has the
-    // last prompt position's hidden state to sample from.
+    // at most prompt-1 tokens), so the Sample node always has the last
+    // prompt position's hidden state to sample from.
     prefillHidden_.assign(n, {});
     std::size_t max_prompt = 0, max_tail = 0;
     for (std::size_t a = 0; a < n; ++a) {
@@ -341,69 +331,38 @@ PipelinedEngine::prefillSlots(const std::vector<SlotIdx> &slots)
     growGpuScratch(max_tail, n);
     if (prefillAttn_.size() < max_tail * qDim_)
         prefillAttn_.resize(max_tail * qDim_);
+    prefillSlots_ = slots;
+}
 
-    // Zigzag layer-by-layer prefill (§4): load layer weights, then run
-    // every admitted sequence's tokens through that layer on the GPU
-    // queue, appending KV as we go. Weight loads for layer i+2 wait on
-    // layer i's compute (slot reuse).
-    std::vector<SlotIdx> admitted(slots);  // outlives the tasks
-    std::vector<EventPtr> compute_done(cfg.l);
-    for (std::size_t li = 0; li < cfg.l; ++li) {
-        std::vector<EventPtr> load_deps;
-        if (li >= 2 && compute_done[li - 2])
-            load_deps.push_back(compute_done[li - 2]);
-        EventPtr loaded = exec_->submit(
-            ResourceKind::HtoD, std::move(load_deps),
-            [this, li] { store_.loadLayer(LayerIdx(li), te_); });
-
-        std::vector<EventPtr> deps{loaded};
-        if (li > 0)
-            deps.push_back(compute_done[li - 1]);
-        compute_done[li] = exec_->submit(
-            ResourceKind::Gpu, std::move(deps),
-            [this, layer = LayerIdx(li), admitted] {
-                // Whole-tail batched projections instead of per-token
-                // GEMV chains; only the attention/KV-append walk stays
-                // per token (causal order). Per-token arithmetic is
-                // unchanged, so tokens stay bit-identical to the
-                // reference engine.
-                KvViewStorage view;
-                for (std::size_t a = 0; a < admitted.size(); ++a) {
-                    SlotIdx slot = admitted[a];
-                    // Request-scope fault containment: a fault in
-                    // one sequence's prefill (KV append, kernel)
-                    // marks only that slot; co-admitted neighbours
-                    // are untouched because every per-sequence walk
-                    // is independent. A slot that faulted in an
-                    // earlier layer is skipped outright — its KV
-                    // stream is already short, and attention over it
-                    // would read garbage.
-                    if (slotFaulted(slot))
-                        continue;
-                    try {
-                        float *x = prefillHidden_[a].data();
-                        std::size_t len = prefillHidden_[a].size() / h1_;
-                        preAttn(layer, x, len);
-                        prefillAttention(layer, slot, len, view);
-                        route(layer, prefillAttn_.data(), x, len);
-                        ffn(layer, x, len);
-                    } catch (const FatalError &e) {
-                        noteSlotFault(slot, e.what());
-                    }
-                }
-            });
+void
+PipelinedEngine::prefillLayer(LayerIdx layer)
+{
+    // Whole-tail batched projections instead of per-token GEMV chains;
+    // only the attention/KV-append walk stays per token (causal
+    // order). Per-token arithmetic is unchanged, so tokens stay
+    // bit-identical to the reference engine.
+    KvViewStorage view;
+    for (std::size_t a = 0; a < prefillSlots_.size(); ++a) {
+        SlotIdx slot = prefillSlots_[a];
+        // Request-scope fault containment: a fault in one sequence's
+        // prefill (KV append, kernel) marks only that slot;
+        // co-admitted neighbours are untouched because every
+        // per-sequence walk is independent. A slot that faulted in an
+        // earlier layer is skipped outright — its KV stream is already
+        // short, and attention over it would read garbage.
+        if (slotFaulted(slot))
+            continue;
+        try {
+            float *x = prefillHidden_[a].data();
+            std::size_t len = prefillHidden_[a].size() / h1_;
+            preAttn(layer, x, len);
+            prefillAttention(layer, slot, len, view);
+            route(layer, prefillAttn_.data(), x, len);
+            ffn(layer, x, len);
+        } catch (const FatalError &e) {
+            noteSlotFault(slot, e.what());
+        }
     }
-
-    // Bootstrap: sample each admitted request's first generated token
-    // from its prompt's last hidden state.
-    exec_->submit(ResourceKind::Gpu, {compute_done[cfg.l - 1]},
-                  [this, admitted] {
-                      std::vector<const float *> rows;
-                      rows.reserve(admitted.size());
-                      for (const std::vector<float> &x : prefillHidden_)
-                          rows.push_back(x.data() + x.size() - h1_);
-                      sample(rows, admitted.data());
-                  });
 }
 
 void
@@ -508,35 +467,19 @@ PipelinedEngine::decode(const std::vector<SlotIdx> &live)
         max_ctx = std::max(max_ctx, kvContextLen(slot) + 1);
     ensureAttnScratch(max_ctx);
 
-    std::size_t layers = w_.cfg.l;
-    st.weightsReady.assign(layers, nullptr);
-    st.postPerUb.assign(st.numUbs, nullptr);
-    st.slotBusy.assign(store_.numSlots(), nullptr);
-    st.cattn.assign(layers, std::vector<EventPtr>(st.numUbs));
-
-    // A single micro-batch whose rows route to fewer than ne experts
-    // per layer gates its expert stream on the router: it needs at
-    // most rows * k of the layer's experts, and with one micro-batch
-    // only its own compute would overlap a full-layer stream anyway.
-    st.gated = st.numUbs == 1 && n_act * w_.cfg.k < w_.cfg.ne;
-
-    // Preload layer 0 (only its dense pages in a gated round); the
-    // prior round (or the admission prefill) synced, so the weight
-    // slots are free, and when the prior round's wrap-around chunk
-    // already streamed layer 0 every page is resident and the load
-    // moves nothing. Readiness is the task's own completion event —
-    // the worker signals it on every path, error and injected-fault
-    // included, so a failed load can never leave dependents waiting
-    // (a hand-signaled event inside the body would: an exec.task
-    // fault kills the body before its first statement). The error
-    // itself surfaces at sync().
-    st.weightsReady[0] = exec_->submit(
-        ResourceKind::HtoD, {}, [this, gated = st.gated] {
-            if (gated)
-                store_.loadDense(LayerIdx(0), te_);
-            else
-                store_.loadLayer(LayerIdx(0), te_);
-        });
+    // One weight chunk per micro-batch: the §4.1 rule "n pages where n
+    // equals the number of micro-batches".
+    RoundShape shape{.layers = w_.cfg.l,
+                     .ubs = st.numUbs,
+                     .chunks = st.numUbs,
+                     .pagesPerLayer = store_.pagesPerLayer(),
+                     .densePages = PagedWeightStore::kDensePages,
+                     .gated = routerGated(st.numUbs, n_act, w_.cfg.k,
+                                          w_.cfg.ne)};
+    if (shape != decodeShape_) {
+        decodeShape_ = shape;
+        decodePlan_ = planDecodeRound(shape);
+    }
 
     // A weight-stream or task-body fault leaves this round's pipeline
     // state (hidden buffers, weight slots) unreliable for every row,
@@ -544,257 +487,176 @@ PipelinedEngine::decode(const std::vector<SlotIdx> &live)
     // leaves its page non-resident, so the next round or prefill
     // copies it again. Per-slot KV faults caught inside the offload
     // task stay request-scope.
-    runDecodeChains(st);
+    submitPlan(decodePlan_);
     syncRound();
 }
 
 void
-PipelinedEngine::runDecodeChains(StepState &st)
+PipelinedEngine::submitPlan(const RoundPlan &plan)
 {
-    const ModelConfig &cfg = w_.cfg;
-    std::size_t layers = cfg.l;
-    std::size_t ubs = st.numUbs;
-    std::size_t total = layers * ubs;
-    std::size_t la = std::min<std::size_t>(cfg_.lookahead, ubs);
-
-    std::size_t next_chain = 0;
-    // Launch the Pre -> OffloadQKV -> CPUAttn chain for linear index
-    // m (layer-major). Dependencies: this layer's weights and this
-    // micro-batch's hidden state from the previous layer (layer 0's
-    // x was filled synchronously before launch).
-    auto launch_chain = [&](std::size_t m) {
-        std::size_t i = m / ubs, j = m % ubs;
+    // Every dependency is a task's completion event, which the worker
+    // signals on every path, error and injected fault included, so a
+    // failed task never leaves dependents waiting; the error itself
+    // surfaces at sync(). A node referenced before it is submitted
+    // (layer readiness under the lookahead) gets its event up front,
+    // and its task publishes it through submit's alsoSignal, which
+    // carries the same guarantee: signaling from inside the body
+    // would deadlock whenever the body dies before reaching it.
+    std::vector<EventPtr> done(plan.size());
+    for (std::size_t n = 0; n < plan.size(); ++n) {
+        const PlanNode &node = plan[n];
         std::vector<EventPtr> deps;
-        if (st.weightsReady[i])
-            deps.push_back(st.weightsReady[i]);
-        if (i > 0 && st.postPerUb[j])
-            deps.push_back(st.postPerUb[j]);
+        deps.reserve(node.deps.size());
+        for (NodeId d : node.deps) {
+            if (!done[d])
+                done[d] = std::make_shared<TaskEvent>();
+            deps.push_back(done[d]);
+        }
+        std::vector<EventPtr> publish;
+        if (done[n])
+            publish.push_back(done[n]);
+        EventPtr ev = exec_->submit(
+            node.queue(), std::move(deps),
+            [this, &node] { runNode(node); }, std::move(publish));
+        if (!done[n])
+            done[n] = std::move(ev);
+    }
+}
 
-        EventPtr pre = exec_->submit(
-            ResourceKind::Gpu, std::move(deps), [this, &st, i, j] {
-                std::size_t n = st.ubSize(j);
-                // PreAttn over the micro-batch, then interleave rows
-                // into the [q|k|v] offload layout.
-                preAttn(LayerIdx(i), st.xGpu[j].data(), n);
-                for (std::size_t r = 0; r < n; ++r) {
-                    float *qkv = st.qkvGpu[j].data() + r * qkvDim_;
-                    std::memcpy(qkv, gpuQB_.data() + r * qDim_,
-                                qDim_ * sizeof(float));
-                    std::memcpy(qkv + qDim_,
-                                gpuKB_.data() + r * kvDim_,
-                                kvDim_ * sizeof(float));
-                    std::memcpy(qkv + qDim_ + kvDim_,
-                                gpuVB_.data() + r * kvDim_,
-                                kvDim_ * sizeof(float));
-                }
-            });
-
-        EventPtr off = exec_->submit(
-            ResourceKind::DtoH, {pre}, [this, &st, i, j] {
-                std::size_t n = st.ubSize(j);
-                te_.copyToHost(st.qkvGpu[j].data(),
-                               st.qkvCpu[j].data(), n * qkvDim_);
-                for (std::size_t r = 0; r < n; ++r) {
-                    SlotIdx slot =
-                        st.rowSlot[st.ubStart[j] + r];
-                    // Request-scope containment: a KV append failing
-                    // (pool exhausted, injected kv.alloc fault) dooms
-                    // only this sequence. Later layers skip the
-                    // faulted slot — its KV stream is already
-                    // inconsistent — and it retires with Error after
-                    // sync. PanicError (a bug, not a fault) still
-                    // escapes to the executor and aborts the round.
-                    if (slotFaulted(slot))
-                        continue;
-                    const float *qkv =
-                        st.qkvCpu[j].data() + r * qkvDim_;
-                    try {
-                        kv_.append(seqOf(slot), LayerIdx(i),
-                                   qkv + qDim_, qkv + qDim_ + kvDim_);
-                    } catch (const FatalError &e) {
-                        noteSlotFault(slot, e.what());
-                    }
-                }
-            });
-
-        st.cattn[i][j] = exec_->submit(
-            ResourceKind::Cpu, {off}, [this, &st, i, j] {
-                const ModelConfig &c = w_.cfg;
-                std::size_t n = st.ubSize(j);
-                if (cfg_.kvQuant) {
-                    // Zero-copy quantized views; the fused kernel
-                    // dequantizes rows in-register, so no float KV
-                    // pages are ever materialized.
-                    std::vector<QuantKvView> qviews(n);
-                    for (std::size_t r = 0; r < n; ++r)
-                        qviews[r] = kv_.makeQuantView(
-                            seqOf(st.rowSlot[st.ubStart[j] + r]),
-                            LayerIdx(i));
-                    gqaDecodeAttentionQuantBatch(
-                        st.qkvCpu[j].data(), qkvDim_, c.nq, qviews,
-                        st.attnCpu[j].data(), qDim_, scale_,
-                        attnPool_.get(), cpuBatchScratch_);
-                    return;
-                }
-                // Build all views first, then fan the tokens
-                // out across the attention pool (multi-core kernel).
-                std::vector<KvViewStorage> views(n);
-                std::vector<KvView> kvs(n);
-                for (std::size_t r = 0; r < n; ++r) {
-                    kv_.makeView(
-                        seqOf(st.rowSlot[st.ubStart[j] + r]),
-                        LayerIdx(i), views[r]);
-                    kvs[r] = views[r].view;
-                }
-                gqaDecodeAttentionBatch(
-                    st.qkvCpu[j].data(), qkvDim_, c.nq, kvs,
-                    st.attnCpu[j].data(), qDim_, scale_,
-                    attnPool_.get(), cpuBatchScratch_);
-            });
-    };
-    // Ffn(i, j), and on the last layer the round's token for every
-    // row of the micro-batch.
-    auto ffn_task = [this, &st, layers](std::size_t i, std::size_t j) {
+void
+PipelinedEngine::runNode(const PlanNode &node)
+{
+    StepState &st = *st_;
+    // The wrap-around chunk streams layer l: the next round's layer 0.
+    LayerIdx layer(node.layer.value() % w_.cfg.l);
+    std::size_t j = node.ub;
+    switch (node.stage) {
+      case Stage::Weights:
+        for (std::size_t p = node.pageLo; p < node.pageHi; ++p)
+            store_.loadPage(layer, p, te_);
+        return;
+      case Stage::PreAttn: {
+        std::size_t n = st.ubSize(j);
+        // PreAttn over the micro-batch, then interleave rows into the
+        // [q|k|v] offload layout.
+        preAttn(layer, st.xGpu[j].data(), n);
+        for (std::size_t r = 0; r < n; ++r) {
+            float *qkv = st.qkvGpu[j].data() + r * qkvDim_;
+            std::memcpy(qkv, gpuQB_.data() + r * qDim_,
+                        qDim_ * sizeof(float));
+            std::memcpy(qkv + qDim_, gpuKB_.data() + r * kvDim_,
+                        kvDim_ * sizeof(float));
+            std::memcpy(qkv + qDim_ + kvDim_, gpuVB_.data() + r * kvDim_,
+                        kvDim_ * sizeof(float));
+        }
+        return;
+      }
+      case Stage::OffloadQkv: {
+        std::size_t n = st.ubSize(j);
+        te_.copyToHost(st.qkvGpu[j].data(), st.qkvCpu[j].data(),
+                       n * qkvDim_);
+        for (std::size_t r = 0; r < n; ++r) {
+            SlotIdx slot = st.rowSlot[st.ubStart[j] + r];
+            // Request-scope containment: a KV append failing (pool
+            // exhausted, injected kv.alloc fault) dooms only this
+            // sequence. Later layers skip the faulted slot — its KV
+            // stream is already inconsistent — and it retires with
+            // Error after sync. PanicError (a bug, not a fault) still
+            // escapes to the executor and aborts the round.
+            if (slotFaulted(slot))
+                continue;
+            const float *qkv = st.qkvCpu[j].data() + r * qkvDim_;
+            try {
+                kv_.append(seqOf(slot), layer, qkv + qDim_,
+                           qkv + qDim_ + kvDim_);
+            } catch (const FatalError &e) {
+                noteSlotFault(slot, e.what());
+            }
+        }
+        return;
+      }
+      case Stage::CpuAttn: {
+        const ModelConfig &c = w_.cfg;
+        std::size_t n = st.ubSize(j);
+        if (cfg_.kvQuant) {
+            // Zero-copy quantized views; the fused kernel dequantizes
+            // rows in-register, so no float KV pages are ever
+            // materialized.
+            std::vector<QuantKvView> qviews(n);
+            for (std::size_t r = 0; r < n; ++r)
+                qviews[r] = kv_.makeQuantView(
+                    seqOf(st.rowSlot[st.ubStart[j] + r]), layer);
+            gqaDecodeAttentionQuantBatch(
+                st.qkvCpu[j].data(), qkvDim_, c.nq, qviews,
+                st.attnCpu[j].data(), qDim_, scale_, attnPool_.get(),
+                cpuBatchScratch_);
+            return;
+        }
+        // Build all views first, then fan the tokens out across the
+        // attention pool (multi-core kernel).
+        std::vector<KvViewStorage> views(n);
+        std::vector<KvView> kvs(n);
+        for (std::size_t r = 0; r < n; ++r) {
+            kv_.makeView(seqOf(st.rowSlot[st.ubStart[j] + r]), layer,
+                         views[r]);
+            kvs[r] = views[r].view;
+        }
+        gqaDecodeAttentionBatch(st.qkvCpu[j].data(), qkvDim_, c.nq, kvs,
+                                st.attnCpu[j].data(), qDim_, scale_,
+                                attnPool_.get(), cpuBatchScratch_);
+        return;
+      }
+      case Stage::LoadH:
+        te_.copyToGpu(st.attnCpu[j].data(), st.attnGpu[j].data(),
+                      st.ubSize(j) * qDim_);
+        return;
+      case Stage::PostAttn:  // Route, then Ffn, in one task
+      case Stage::Route:
+        route(layer, st.attnGpu[j].data(), st.xGpu[j].data(),
+              st.ubSize(j));
+        if (node.stage == Stage::Route)
+            return;
+        [[fallthrough]];
+      case Stage::Ffn: {
+        // Ffn is the next Gpu task after Route, so the normed rows
+        // Route left in gpuNormB_ are still there. The last layer
+        // also samples the round's token for every row.
         std::size_t n = st.ubSize(j);
         float *x = st.xGpu[j].data();
-        ffn(LayerIdx(i), x, n);
-        if (i + 1 < layers)
+        ffn(layer, x, n);
+        if (layer.value() + 1 < w_.cfg.l)
             return;
         std::vector<const float *> rows(n);
         for (std::size_t r = 0; r < n; ++r)
             rows[r] = x + r * h1_;
         sample(rows, st.rowSlot.data() + st.ubStart[j]);
-    };
-    auto pump = [&](std::size_t up_to) {
-        while (next_chain < total && next_chain <= up_to)
-            launch_chain(next_chain++);
-    };
-
-    // Prologue (Algorithm 1 lines 2-7): the first 'la' chains, all in
-    // layer 0, plus the weight stream for the next layers (emitted in
-    // the main loop below).
-    pump(la - 1);
-
-    for (std::size_t m = 0; m < total; ++m) {
-        std::size_t i = m / ubs, j = m % ubs;
-        pump(m);  // ensure this chain exists
-
-        // Interleaved weight pages for the next layer. Chunk j covers
-        // an equal share of the layer's pages (its dense pages only
-        // in a gated round). The last layer streams the next round's
-        // layer 0, so the link never idles across the round boundary;
-        // that round's preload then finds its pages resident.
-        auto stream_chunk = [&] {
-            std::size_t target = (i + 1) % layers;
-            std::size_t pages = st.gated ? PagedWeightStore::kDensePages
-                                         : store_.pagesPerLayer();
-            std::size_t lo = pages * j / ubs;
-            std::size_t hi = pages * (j + 1) / ubs;
-            if (j == 0) {
-                // Fresh readiness event for the incoming layer; it
-                // must exist NOW — the pump's lookahead can launch
-                // layer `target` chains (which depend on it) before
-                // the last chunk task below is submitted. The slot it
-                // overwrites must have retired.
-                st.weightsReady[target] = std::make_shared<TaskEvent>();
-            }
-            std::vector<EventPtr> wdeps;
-            std::size_t slot = target % store_.numSlots();
-            // The slot-retired dependency belongs to the *first
-            // non-empty* chunk (lo == 0 && hi > 0): with more
-            // micro-batches than weight pages, chunk j == 0 is empty
-            // and pinning the dependency to it would let the first
-            // real load overwrite the slot while the previous
-            // occupant's PostAttn tasks still read it. Later chunks
-            // are ordered behind the first one by the HtoD FIFO.
-            if (lo == 0 && hi > 0 && st.slotBusy[slot])
-                wdeps.push_back(st.slotBusy[slot]);
-            // The last chunk publishes layer readiness via the
-            // executor's alsoSignal guarantee (signaled on every
-            // path): the HtoD FIFO ensures the earlier chunks retired
-            // first, and a failed or fault-injected load surfaces at
-            // sync() instead of leaving dependents waiting forever —
-            // signaling from inside the task body would deadlock
-            // whenever the body dies before reaching the signal.
-            bool last_chunk = j + 1 == ubs;
-            std::vector<EventPtr> publish;
-            if (last_chunk)
-                publish.push_back(st.weightsReady[target]);
-            exec_->submit(
-                ResourceKind::HtoD, std::move(wdeps),
-                [this, target, lo, hi] {
-                    for (std::size_t p = lo; p < hi; ++p)
-                        store_.loadPage(LayerIdx(target), p, te_);
-                },
-                std::move(publish));
-        };
-
-        // A gated round's dense chunk only waits on the previous
-        // layer's Ffn, which retired before this layer's Pre ran, so
-        // it goes ahead of LoadH and streams under the attention
-        // instead of delaying this layer's expert fetch.
-        if (st.gated)
-            stream_chunk();
-
-        // LoadH(i, j): attention output back to the GPU.
-        EventPtr loadh = exec_->submit(
-            ResourceKind::HtoD, {st.cattn[i][j]}, [this, &st, j] {
-                std::size_t n = st.ubSize(j);
-                te_.copyToGpu(st.attnCpu[j].data(),
-                              st.attnGpu[j].data(), n * qDim_);
-            });
-
-        if (!st.gated)
-            stream_chunk();
-
-        // PostAttn(i, j): O projection + residual + router + MoE FFN;
-        // on the last layer also sample the round's token per row.
-        std::vector<EventPtr> post_deps{loadh};
-        if (st.weightsReady[i])
-            post_deps.push_back(st.weightsReady[i]);
-        EventPtr post;
-        if (st.gated) {
-            // Route -> FetchExperts -> Ffn: the layer's expert pages
-            // are fetched only once the router has named them, so
-            // the round reads at most rows * k experts per layer.
-            // Ffn is the next Gpu task after Route, so the normed
-            // rows Route leaves in gpuNormB_ are still there.
-            EventPtr routed_ev = exec_->submit(
-                ResourceKind::Gpu, std::move(post_deps),
-                [this, &st, i, j] {
-                    route(LayerIdx(i), st.attnGpu[j].data(),
-                          st.xGpu[j].data(), st.ubSize(j));
-                });
-            EventPtr fetch = exec_->submit(
-                ResourceKind::HtoD, {routed_ev}, [this, i] {
-                    std::vector<ExpertIdx> routed;
-                    for (const TokenRouting &r : routing_)
-                        for (int e : r.experts)
-                            routed.push_back(ExpertIdx(e));
-                    std::sort(routed.begin(), routed.end());
-                    routed.erase(
-                        std::unique(routed.begin(), routed.end()),
-                        routed.end());
-                    for (ExpertIdx e : routed)
-                        store_.loadExpert(LayerIdx(i), e, te_);
-                });
-            post = exec_->submit(ResourceKind::Gpu, {fetch},
-                                 [ffn_task, i, j] { ffn_task(i, j); });
-        } else {
-            post = exec_->submit(
-                ResourceKind::Gpu, std::move(post_deps),
-                [this, &st, ffn_task, i, j] {
-                    route(LayerIdx(i), st.attnGpu[j].data(),
-                          st.xGpu[j].data(), st.ubSize(j));
-                    ffn_task(i, j);
-                });
-        }
-
-        st.postPerUb[j] = post;
-        if (j + 1 == ubs)
-            st.slotBusy[i % store_.numSlots()] = post;
-
-        pump(m + la);
+        return;
+      }
+      case Stage::FetchExperts: {
+        // Only the experts the router named: at most rows * k of them.
+        std::vector<ExpertIdx> routed;
+        for (const TokenRouting &r : routing_)
+            for (int e : r.experts)
+                routed.push_back(ExpertIdx(e));
+        std::sort(routed.begin(), routed.end());
+        routed.erase(std::unique(routed.begin(), routed.end()),
+                     routed.end());
+        for (ExpertIdx e : routed)
+            store_.loadExpert(layer, e, te_);
+        return;
+      }
+      case Stage::Prefill:
+        prefillLayer(layer);
+        return;
+      case Stage::Sample: {
+        // Each admitted prompt's first token, from its last position.
+        std::vector<const float *> rows;
+        rows.reserve(prefillSlots_.size());
+        for (const std::vector<float> &x : prefillHidden_)
+            rows.push_back(x.data() + x.size() - h1_);
+        sample(rows, prefillSlots_.data());
+        return;
+      }
     }
 }
 

@@ -20,33 +20,17 @@
  * admitted prompts' zigzag prefill and every active sequence's
  * decode token through the Algorithm 1 pipeline.
  *
- * Router-gated rounds: a decode round with one micro-batch whose
- * rows * k is below the expert count ne cannot touch every expert of
- * a layer, and with a single micro-batch only its own compute would
- * hide a full-layer stream. Such a round streams only each layer's
- * dense pages ahead (norms, wq/wk/wv/wo, router), and its PostAttn
- * splits into Route (O projection, residual, ffn_norm, router, top-k)
- * on the GPU queue, FetchExperts (the distinct routed experts'
- * w1/w3/w2 pages) on the HtoD queue and Ffn (MoE FFN, residual,
- * lmHead on the last layer) on the GPU queue. The rule depends only
- * on the round's shape; multi-micro-batch rounds and the zigzag
- * prefill stream whole layers. Tokens are unchanged: the same weights
- * are read.
- *
- * The weight stream runs like sched/'s global-layer stream: each
- * layer i streams layer (i + 1) % l into the other slot under its own
- * compute, so the last layer streams the next round's layer 0 and
- * the link never idles at the round boundary. A round preloads only
- * layer 0, and loads skip pages a slot already holds (paged_weights
- * .hh): that preload is free after a round that streamed it, as is
- * the admission prefill's layer 0, and a gated round reuses whatever
- * routed-expert pages the slots still hold.
+ * The round's schedule is data: the decode round and the admission
+ * prefill are plans from sched/round_plan.hh (Algorithm 1's order,
+ * the weight stream, router-gated rounds), which this engine submits
+ * through one loop, binding one body per stage. The simulator builds
+ * its CGOPipe graph from the same plans.
  *
  * Each layer's GPU math is written once, as four stages over n
  * contiguous hidden rows: PreAttn (attn_norm, Q/K/V projections),
  * Route (O projection, residual, ffn_norm, router, top-k), Ffn (MoE
  * FFN, residual) and Sample (final norm, lmHead, argmax). The decode
- * chain tasks call them per micro-batch; the prefill layer task calls
+ * stage bodies call them per micro-batch; the prefill layer body calls
  * them per admitted sequence, with its own KV-append/attention walk
  * between PreAttn and Route. Both work in one set of Gpu-queue
  * scratch buffers.
@@ -79,6 +63,7 @@
 #include "runtime/stream_executor.hh"
 #include "runtime/transfer_engine.hh"
 #include "runtime/weights.hh"
+#include "sched/round_plan.hh"
 
 namespace moelight {
 
@@ -90,7 +75,6 @@ struct EngineConfig
     /** KV budget in token-layer entries (tokens x layers), metered
      *  exactly for every codec. */
     std::size_t kvCapacityTokens = 1u << 16;
-    std::size_t lookahead = 2;        ///< Algorithm 1's CPU-attn lead
     Bandwidth throttleBw = 0.0;       ///< simulated link bw; 0 = off
     /** Sequence slots: the maximum number of requests generating
      *  concurrently. Submissions beyond it queue in the continuous
@@ -194,8 +178,16 @@ class PipelinedEngine : public Engine
     std::size_t sharedKvTokens() const override;
     void checkInvariants() const override;
 
-    void prefillSlots(const std::vector<SlotIdx> &slots);
-    void runDecodeChains(StepState &st);
+    /** Embed the admitted prompts' novel tails and size the prefill
+     *  scratch. Driver thread, before the prefill plan is submitted. */
+    void stagePrefill(const std::vector<SlotIdx> &slots);
+    /** Submit @p plan's nodes in order, each one task running
+     *  runNode(); @p plan must outlive the round's sync. */
+    void submitPlan(const RoundPlan &plan);
+    /** The body of one plan node (executor thread of its queue). */
+    void runNode(const PlanNode &node);
+    /** One prefill layer over every admitted prompt's tail. */
+    void prefillLayer(LayerIdx layer);
     /** Wait for the round's tasks (rethrowing a round fault) and
      *  sample peak KV usage once its appends have landed. */
     void syncRound();
@@ -279,10 +271,17 @@ class PipelinedEngine : public Engine
     std::vector<float> cpuPrefillScratch_;
     std::size_t scratchCtx_ = 0;
     std::size_t prefillScratchLen_ = 0;
-    /** Prefill: each admitted sequence's novel-tail hidden rows, and
-     *  the attention output of the sequence in flight. */
+    /** Prefill: the admitted slots, each one's novel-tail hidden rows,
+     *  and the attention output of the sequence in flight. */
+    std::vector<SlotIdx> prefillSlots_;
     std::vector<std::vector<float>> prefillHidden_;
     std::vector<float> prefillAttn_;
+
+    /** The admission prefill's plan (fixed by the model), and the
+     *  decode plan of the last round's shape: rebuilt only when the
+     *  shape changes. */
+    RoundPlan prefillPlan_, decodePlan_;
+    RoundShape decodeShape_;
 
     std::unique_ptr<StepState> st_;
     std::unique_ptr<StreamExecutor> exec_;  ///< last: destroyed first

@@ -31,7 +31,7 @@
  * queue worker, prefill appends on the Gpu queue worker, admission /
  * retirement / prefix attach on the driver thread — but the engines'
  * phase structure (task events within a round, exec_->sync() between
- * phases) serializes every access. Debug builds assert that
+ * phases) serializes every access. Builds without NDEBUG assert that
  * serialization on each mutating call (see DebugSerialGate in
  * common/sync.hh and docs/concurrency.md).
  */

@@ -158,13 +158,6 @@ PagedWeightStore::loadLayer(LayerIdx layer, TransferEngine &te)
 }
 
 void
-PagedWeightStore::loadDense(LayerIdx layer, TransferEngine &te)
-{
-    for (std::size_t p = 0; p < kDensePages; ++p)
-        loadPage(layer, p, te);
-}
-
-void
 PagedWeightStore::loadExpert(LayerIdx layer, ExpertIdx e,
                              TransferEngine &te)
 {

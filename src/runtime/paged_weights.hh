@@ -17,8 +17,8 @@
  * pages first — attn_norm, wq, wk, wv, wo, ffn_norm, router — then
  * expert e's w1, w3, w2 at pages kDensePages + 3e + {0, 1, 2}. A
  * caller that knows a round's routing can therefore stream the dense
- * part ahead (loadDense) and fetch only the routed experts after the
- * router runs (loadExpert); the residency check in tensor() and
+ * pages [0, kDensePages) ahead (loadPage) and fetch only the routed
+ * experts after the router runs (loadExpert); the residency check in tensor() and
  * expert() still panics on any page that was not fetched.
  *
  * Residency: every page records the layer whose copy it holds, and a
@@ -90,9 +90,6 @@ class PagedWeightStore
 
     /** Convenience: transfer all pages of @p layer. */
     void loadLayer(LayerIdx layer, TransferEngine &te);
-
-    /** Transfer only the dense pages [0, kDensePages) of @p layer. */
-    void loadDense(LayerIdx layer, TransferEngine &te);
 
     /** Transfer expert @p e 's w1/w3/w2 pages of @p layer. */
     void loadExpert(LayerIdx layer, ExpertIdx e, TransferEngine &te);

@@ -50,8 +50,8 @@ struct PrefixCacheStats
  * turns — attach()/insert() on the driver, evictOne() from the
  * table's reclaim hook inside appends running on queue workers — but
  * the engines' phase serialization guarantees the turns never
- * overlap, and debug builds assert that on each mutating call (see
- * docs/concurrency.md).
+ * overlap, and builds without NDEBUG assert that on each mutating
+ * call (see docs/concurrency.md).
  */
 class PrefixCache
 {

@@ -163,7 +163,8 @@ servingKvDemandNet(const ServeRequest &req, std::size_t cachedTokens)
  * It IS touched from several threads — the engine's front-end calls
  * enqueue() from submitters while the driver admits — but every
  * access is serialized externally (Engine::frontMu_).
- * Debug builds assert the serialization on every mutating call.
+ * Builds without NDEBUG (the default Release build too) assert the
+ * serialization on every mutating call.
  */
 class ContinuousBatcher
 {
@@ -300,7 +301,7 @@ class ContinuousBatcher
  * and idle() may be called from any thread, concurrently with a
  * step() in flight. step() / drain() belong to exactly
  * one driver thread at a time — two concurrent step() calls are a
- * contract violation (detected in debug builds). See
+ * contract violation (detected in builds without NDEBUG). See
  * docs/concurrency.md for the locking model behind this split.
  *
  * A subclass supplies only compute, through the protected hooks:
@@ -401,7 +402,8 @@ class Engine
     /** Request tokens of shared cached pages, charged once on top of
      *  every slot's private reservation. */
     virtual std::size_t sharedKvTokens() const { return 0; }
-    /** Debug builds run this at the end of every step(). */
+    /** Builds without NDEBUG (the default Release build too) run this
+     *  at the end of every step(). */
     virtual void checkInvariants() const {}
 
     /** The request in occupied @p slot (driver and round tasks). */

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/logging.hh"
+#include "sched/round_plan.hh"
 
 namespace moelight {
 
@@ -24,7 +25,6 @@ struct Builder
     int steps;
     int layers;        ///< simulated layers per step
     int ubs;           ///< micro-batches
-    int pages;         ///< weight pages per layer (paged schedules)
     double weightScale = 1.0;  ///< stream inflation (DS replication)
 
     // Per global-layer (step*layers + layer) task ids.
@@ -42,7 +42,6 @@ struct Builder
             ? opt.layers
             : static_cast<int>(pm.model().l);
         ubs = static_cast<int>(pol.numUbs());
-        pages = opt.pagesPerLayer > 0 ? opt.pagesPerLayer : ubs;
         int total = steps * layers;
         pre.assign(total, std::vector<TaskId>(ubs, -1));
         off = attn = loadh = post = pre;
@@ -59,34 +58,20 @@ struct Builder
     }
 
     /**
-     * Emit the weight stream for global layer @p k, split into
-     * @p nchunks HtoD tasks. The first chunk waits for the double
-     * buffer: the slot is reused from layer k-2, so all of layer
-     * k-2's consumers must have retired.
+     * Emit global layer @p k's unpaged weight stream. The slot is
+     * reused from layer k-2, so all of layer k-2's consumers must have
+     * retired first.
      */
     void
-    emitWeights(int k, int nchunks, int step)
+    emitWeights(int k, int step)
     {
-        Seconds wt = pm.weightStreamTime(pol) * weightScale;
-        std::vector<TaskId> chunk_ids;
-        std::vector<TaskId> first_deps;
-        if (k >= 2 && post[k - 2][ubs - 1] >= 0)
-            first_deps.push_back(post[k - 2][ubs - 1]);
-        if (wt <= 0.0)
-            nchunks = 1;
-        for (int p = 0; p < nchunks; ++p) {
-            std::vector<TaskId> deps =
-                p == 0 ? first_deps
-                       : std::vector<TaskId>{chunk_ids.back()};
-            chunk_ids.push_back(g.add(
-                ResourceKind::HtoD, wt / nchunks, std::move(deps),
-                "W(L" + std::to_string(k) + ",p" + std::to_string(p) +
-                    ")",
-                kPrioWeights, step));
-        }
-        wready[k] = g.barrier(chunk_ids,
-                              "Wready(L" + std::to_string(k) + ")",
-                              step);
+        std::vector<TaskId> deps;
+        if (k >= 2)
+            deps.push_back(post[k - 2][ubs - 1]);
+        wready[k] = g.add(ResourceKind::HtoD,
+                          pm.weightStreamTime(pol) * weightScale,
+                          std::move(deps), tag("W", k, 0), kPrioWeights,
+                          step);
     }
 
     /** Dependencies of PreAttn(k, j): previous layer's output for
@@ -94,56 +79,99 @@ struct Builder
     std::vector<TaskId>
     preDeps(int k, int j) const
     {
-        std::vector<TaskId> deps;
-        if (k > 0 && post[k - 1][j] >= 0)
+        std::vector<TaskId> deps{wready[k]};
+        if (k > 0)
             deps.push_back(post[k - 1][j]);
-        if (wready[k] >= 0)
-            deps.push_back(wready[k]);
         return deps;
     }
 };
 
 /**
- * CGOPipe (Algorithm 1) and its unpaged variant S2: the dependency
- * structure is identical (CPU attention fully overlapped); they
- * differ only in weight paging. The lookahead is enforced naturally:
- * CPUAttn(k, j) has no dependency on GPU work of micro-batches > j,
- * so it runs as soon as its QKV offload lands — the DES interleaves
- * exactly like Fig. 6's first two rows.
+ * CGOPipe (Algorithm 1) and its unpaged variant S2 (one chunk per
+ * layer): the engine's decode round plan (sched/round_plan.hh) with
+ * PerfModel durations. The steps are laid end to end as one round of
+ * steps * layers layers, so they chain as the engine's rounds do,
+ * without a barrier between them: each layer streams the next one,
+ * and a weight node counts toward the step of the layer it streams.
+ * The last step's wrap-around chunks stream nothing simulated and are
+ * dropped. The simulator's queues dispatch by priority, not FIFO, so
+ * each Weights node also waits on the previous one, as the engine's
+ * HtoD queue orders them.
  */
 void
-buildCpuAttnPipelined(Builder &b, bool paged)
+buildPlanned(Builder &b, std::size_t chunks)
 {
-    for (int k = 0; k < b.totalLayers(); ++k) {
-        int step = k / b.layers;
-        b.emitWeights(k, paged ? b.pages : 1, step);
-        for (int j = 0; j < b.ubs; ++j) {
-            std::size_t mu = b.pol.microBatch;
-            b.pre[k][j] = b.g.add(ResourceKind::Gpu,
-                                  b.pm.preAttnGpuTime(mu),
-                                  b.preDeps(k, j), b.tag("A", k, j),
-                                  0, step);
-            b.off[k][j] = b.g.add(ResourceKind::DtoH,
-                                  b.pm.qkvOffloadTime(mu),
-                                  {b.pre[k][j]}, b.tag("Q", k, j),
-                                  kPrioAct, step);
-            b.attn[k][j] = b.g.add(ResourceKind::Cpu,
-                                   b.pm.cpuAttnTime(mu),
-                                   {b.off[k][j]}, b.tag("B", k, j),
-                                   0, step);
-            b.loadh[k][j] = b.g.add(ResourceKind::HtoD,
-                                    b.pm.hiddenLoadTime(mu),
-                                    {b.attn[k][j]}, b.tag("H", k, j),
-                                    kPrioAct, step);
-            std::vector<TaskId> post_deps{b.loadh[k][j]};
-            if (b.wready[k] >= 0)
-                post_deps.push_back(b.wready[k]);
-            b.post[k][j] = b.g.add(ResourceKind::Gpu,
-                                   b.pm.postAttnGpuTime(mu),
-                                   std::move(post_deps),
-                                   b.tag("C", k, j), 0, step);
+    const PerfModel &pm = b.pm;
+    const ModelConfig &m = pm.model();
+    std::size_t mu = b.pol.microBatch;
+    RoundShape shape{
+        .layers = static_cast<std::size_t>(b.totalLayers()),
+        .ubs = static_cast<std::size_t>(b.ubs),
+        .chunks = chunks,
+        // Abstract pages: each chunk one equal share of the stream.
+        .pagesPerLayer = chunks,
+        .densePages = chunks,
+        .gated = routerGated(b.pol.numUbs(), mu, m.k, m.ne)};
+    RoundPlan plan = planDecodeRound(shape);
+
+    // A gated round streams the dense pages ahead and fetches the
+    // routed experts' share of the stream after the router.
+    Seconds stream = pm.weightStreamTime(b.pol);
+    Seconds ahead = shape.gated ? pm.layerStreamTime(b.pol, 0.0) : stream;
+    auto duration = [&](const PlanNode &n) -> Seconds {
+        switch (n.stage) {
+          case Stage::Weights:
+            return ahead * static_cast<double>(n.pageHi - n.pageLo) /
+                   static_cast<double>(chunks);
+          case Stage::PreAttn:
+            return pm.preAttnGpuTime(mu);
+          case Stage::OffloadQkv:
+            return pm.qkvOffloadTime(mu);
+          case Stage::CpuAttn:
+            return pm.cpuAttnTime(mu);
+          case Stage::LoadH:
+            return pm.hiddenLoadTime(mu);
+          case Stage::PostAttn:
+          case Stage::Route:  // PostAttn's GPU time; Ffn adds none
+            return pm.postAttnGpuTime(mu);
+          case Stage::FetchExperts:
+            return stream - ahead;
+          default:
+            return 0.0;
         }
+    };
+
+    // A node that names a later one (layer readiness under the
+    // lookahead) is held back until that node is in the graph.
+    std::vector<TaskId> id(plan.size(), -1);
+    TaskId last_weights = -1;
+    auto emit = [&](std::size_t n) {
+        const PlanNode &node = plan[n];
+        std::vector<TaskId> deps;
+        for (NodeId d : node.deps) {
+            if (id[d] < 0)
+                return false;
+            deps.push_back(id[d]);
+        }
+        bool weights = node.stage == Stage::Weights;
+        if (weights && last_weights >= 0)
+            deps.push_back(last_weights);
+        id[n] = b.g.add(node.queue(), duration(node), std::move(deps),
+                        label(node), weights ? kPrioWeights : kPrioAct,
+                        static_cast<int>(node.layer.value()) / b.layers);
+        if (weights)
+            last_weights = id[n];
+        return true;
+    };
+    std::vector<std::size_t> held;
+    for (std::size_t n = 0; n < plan.size(); ++n) {
+        if (plan[n].stage != Stage::Weights ||
+            plan[n].layer.value() < shape.layers)
+            held.push_back(n);
+        for (auto it = held.begin(); it != held.end();)
+            it = emit(*it) ? held.erase(it) : it + 1;
     }
+    panicIf(!held.empty(), "round plan has an unresolvable dependency");
 }
 
 /**
@@ -157,7 +185,7 @@ buildCpuAttnSerial(Builder &b)
 {
     for (int k = 0; k < b.totalLayers(); ++k) {
         int step = k / b.layers;
-        b.emitWeights(k, 1, step);
+        b.emitWeights(k, step);
         for (int j = 0; j < b.ubs; ++j) {
             std::size_t mu = b.pol.microBatch;
             std::vector<TaskId> deps = b.preDeps(k, j);
@@ -185,12 +213,9 @@ buildCpuAttnSerial(Builder &b)
                                     b.pm.hiddenLoadTime(mu),
                                     {b.attn[k][j]}, b.tag("H", k, j),
                                     kPrioAct, step);
-            std::vector<TaskId> post_deps{b.loadh[k][j]};
-            if (b.wready[k] >= 0)
-                post_deps.push_back(b.wready[k]);
             b.post[k][j] = b.g.add(ResourceKind::Gpu,
                                    b.pm.postAttnGpuTime(mu),
-                                   std::move(post_deps),
+                                   {b.loadh[k][j], b.wready[k]},
                                    b.tag("C", k, j), 0, step);
         }
     }
@@ -209,7 +234,7 @@ buildGpuAttn(Builder &b, bool streamKv)
         b.totalLayers(), std::vector<TaskId>(b.ubs, -1));
     for (int k = 0; k < b.totalLayers(); ++k) {
         int step = k / b.layers;
-        b.emitWeights(k, 1, step);
+        b.emitWeights(k, step);
         for (int j = 0; j < b.ubs; ++j) {
             std::size_t mu = b.pol.microBatch;
             if (streamKv) {
@@ -244,12 +269,9 @@ buildGpuAttn(Builder &b, bool streamKv)
                 ResourceKind::DtoH,
                 kv_off_bytes / b.pm.hardware().effBcg(),
                 {b.attn[k][j]}, b.tag("Q", k, j), kPrioAct, step);
-            std::vector<TaskId> post_deps{b.attn[k][j]};
-            if (b.wready[k] >= 0)
-                post_deps.push_back(b.wready[k]);
             b.post[k][j] = b.g.add(ResourceKind::Gpu,
                                    b.pm.postAttnGpuTime(mu),
-                                   std::move(post_deps),
+                                   {b.attn[k][j], b.wready[k]},
                                    b.tag("C", k, j), 0, step);
         }
     }
@@ -268,10 +290,12 @@ buildSchedule(SystemKind sys, const PerfModel &pm, const Policy &pol,
         if (pol.attnOnGpu)
             buildGpuAttn(b, /*streamKv=*/pol.kvOnGpu < 1.0);
         else
-            buildCpuAttnPipelined(b, /*paged=*/true);
+            buildPlanned(b, static_cast<std::size_t>(
+                                opt.pagesPerLayer > 0 ? opt.pagesPerLayer
+                                                      : b.ubs));
         break;
       case SystemKind::FastDecode:
-        buildCpuAttnPipelined(b, /*paged=*/false);
+        buildPlanned(b, 1);
         break;
       case SystemKind::FlexGenC:
         buildCpuAttnSerial(b);

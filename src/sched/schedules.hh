@@ -6,11 +6,13 @@
  * plus the associated transfers — but with each system's ordering,
  * paging and overlap constraints:
  *
- *   CGOPipe      paged weights interleaved with activation loads,
+ *   CGOPipe      the engine's round plan (sched/round_plan.hh):
+ *                paged weights interleaved with activation loads,
  *                CPU attention launched two micro-batches ahead
- *                (Algorithm 1).
- *   S2           FastDecode*-style: CPU attention overlapped, weights
- *                transferred as one unpaged block.
+ *                (Algorithm 1), router-gated rounds split into
+ *                Route / FetchExperts / Ffn.
+ *   S2           FastDecode*-style: the same plan with the weights
+ *                transferred as one unpaged chunk per layer.
  *   S3           FlexGen(c): CPU attention serializing the GPU,
  *                unpaged weights.
  *   S4           FlexGen: GPU attention with prefetched KV; KV and
@@ -34,12 +36,11 @@ struct ScheduleOptions
 {
     int decodeSteps = 4;   ///< decode iterations to simulate
     int layers = 0;        ///< 0 = model's full layer count
-    /** Number of weight pages per layer; 0 = one page per micro-batch
-     *  (the §4.1 rule "n pages where n equals the number of
-     *  micro-batches"). Ignored by unpaged schedules. */
+    /** Weight chunks per layer of CGOPipe's plan (RoundShape::
+     *  chunks); 0 = one per micro-batch (the §4.1 rule "n pages where
+     *  n equals the number of micro-batches"). Ignored by unpaged
+     *  schedules. */
     int pagesPerLayer = 0;
-    /** CPU-attention lookahead in micro-batches (Algorithm 1 uses 2). */
-    int lookahead = 2;
 };
 
 /** Build the decode task DAG for @p sys. */

@@ -40,11 +40,4 @@ TaskGraph::add(ResourceKind r, Seconds duration, std::vector<TaskId> deps,
     return id;
 }
 
-TaskId
-TaskGraph::barrier(std::vector<TaskId> deps, std::string label, int step)
-{
-    return add(ResourceKind::Cpu, 0.0, std::move(deps), std::move(label),
-               /*priority=*/-100, step);
-}
-
 } // namespace moelight

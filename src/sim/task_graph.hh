@@ -56,10 +56,6 @@ class TaskGraph
                std::vector<TaskId> deps, std::string label,
                int priority = 0, int step = -1);
 
-    /** Add a zero-duration synchronization point. */
-    TaskId barrier(std::vector<TaskId> deps, std::string label,
-                   int step = -1);
-
     const std::vector<SimTask> &tasks() const { return tasks_; }
     std::size_t size() const { return tasks_.size(); }
 

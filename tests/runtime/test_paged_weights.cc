@@ -125,7 +125,8 @@ residentNames(const Fixture &f, LayerIdx layer)
 TEST(PagedWeights, LoadDenseMarksOnlyDensePages)
 {
     Fixture f;
-    f.store.loadDense(LayerIdx(1), f.te);
+    for (std::size_t p = 0; p < PagedWeightStore::kDensePages; ++p)
+        f.store.loadPage(LayerIdx(1), p, f.te);
     std::vector<std::string> want{"attn_norm", "wq",       "wk",    "wv",
                                   "wo",        "ffn_norm", "router"};
     EXPECT_EQ(residentNames(f, LayerIdx(1)), want);
@@ -159,7 +160,8 @@ TEST(PagedWeights, LoadExpertMarksOnlyItsThreePages)
 TEST(PagedWeights, UnfetchedExpertPanics)
 {
     Fixture f;
-    f.store.loadDense(LayerIdx(0), f.te);
+    for (std::size_t p = 0; p < PagedWeightStore::kDensePages; ++p)
+        f.store.loadPage(LayerIdx(0), p, f.te);
     f.store.loadExpert(LayerIdx(0), ExpertIdx(1), f.te);
     ExpertResolver resolve = f.store.resolver(LayerIdx(0));
     EXPECT_NO_THROW(resolve(1));
@@ -184,7 +186,8 @@ TEST(PagedWeights, ReloadingResidentPageMovesNothingAndSkipsLoadCheck)
         // Armed on the very next check: a real copy would trip it.
         ScopedFault fault("weights.load", 1);
         EXPECT_NO_THROW(f.store.loadLayer(LayerIdx(0), f.te));
-        EXPECT_NO_THROW(f.store.loadDense(LayerIdx(0), f.te));
+        for (std::size_t p = 0; p < PagedWeightStore::kDensePages; ++p)
+            EXPECT_NO_THROW(f.store.loadPage(LayerIdx(0), p, f.te));
         EXPECT_NO_THROW(f.store.loadExpert(LayerIdx(0), ExpertIdx(3),
                                            f.te));
         EXPECT_EQ(fault.hits(), 0u);

@@ -171,6 +171,32 @@ TEST(Schedules, MoreUbsSmoothsPipeline)
     EXPECT_LT(eight.decodeStep, 8.0 * one.decodeStep);
 }
 
+TEST(Schedules, WeightStreamPerLayerMatchesPerfModel)
+{
+    // The simulated weight stream (Weights and FetchExperts nodes) of
+    // every layer adds up to PerfModel's per-layer stream time, for a
+    // router-gated one-micro-batch policy and for a full one.
+    PerfModel pm = s1Model();
+    ScheduleOptions o = smallOpts();
+    std::size_t layers = static_cast<std::size_t>(o.decodeSteps * o.layers);
+    for (Policy p : {cgoPolicy(2, 2), cgoPolicy(256, 32)}) {
+        bool gated = p.numUbs() == 1;
+        SCOPED_TRACE(gated ? "gated" : "full");
+        TaskGraph g = buildSchedule(SystemKind::MoeLightning, pm, p, o);
+        SimTime weights = 0;
+        std::size_t fetches = 0;
+        for (const SimTask &t : g.tasks()) {
+            if (t.label[0] == 'W' || t.label[0] == 'F')
+                weights += t.duration;
+            fetches += t.label[0] == 'F';
+        }
+        EXPECT_EQ(fetches, gated ? layers : 0u);
+        EXPECT_GT(simulate(g).makespan, 0);
+        EXPECT_NEAR(toSeconds(weights) / static_cast<double>(layers),
+                    pm.weightStreamTime(p), 1e-6);
+    }
+}
+
 TEST(Schedules, StepsScaleLinearly)
 {
     PerfModel pm = s1Model();
