@@ -47,8 +47,9 @@ main(int argc, char **argv)
               << " layers x 3 decode steps\n";
     std::cout << "legend: A=PreAttn B=Attention C=PostAttn "
                  "H=hidden-load Q=QKV-offload W=weight page; "
-                 "router-gated rounds split C into R=Route "
-                 "F=FetchExperts E=Ffn\n\n";
+                 "CPU-FFN rounds split C into R=Route "
+                 "D=FFN-input-offload F=CpuFfn Y=FFN-output-load "
+                 "E=residual\n\n";
 
     Table t({"schedule", "decode_step_s", "gpu", "cpu", "htod",
              "dtoh"});

@@ -103,25 +103,26 @@ PerfModel::hiddenLoadTime(std::size_t mu) const
 }
 
 Seconds
-PerfModel::layerStreamTime(const Policy &pol, double experts) const
+PerfModel::layerStreamTime(const Policy &pol, bool experts) const
 {
-    double expert_bytes = model_.expertParams() * model_.weightByte();
-    double dense = model_.weightBytesPerLayer() -
-                   static_cast<double>(model_.ne) * expert_bytes;
-    double streamed = pol.ffnOnGpu
-        ? (1.0 - pol.weightsOnGpu) * (dense + experts * expert_bytes)
-        : (1.0 - pol.weightsOnGpu) * model_.attnWeightBytesPerLayer();
-    return streamed / hw_.effBcg();
+    double bytes = model_.weightBytesPerLayer();
+    if (!experts)
+        bytes -= static_cast<double>(model_.ne) * model_.expertParams() *
+                 model_.weightByte();
+    return (1.0 - pol.weightsOnGpu) * bytes / hw_.effBcg();
+}
+
+bool
+PerfModel::ffnOnCpu(const Policy &pol) const
+{
+    return !pol.ffnOnGpu || cpuFfnRound(pol.numUbs(), pol.microBatch,
+                                        model_.k, model_.ne);
 }
 
 Seconds
 PerfModel::weightStreamTime(const Policy &pol) const
 {
-    bool gated =
-        routerGated(pol.numUbs(), pol.microBatch, model_.k, model_.ne);
-    return layerStreamTime(
-        pol, static_cast<double>(gated ? pol.microBatch * model_.k
-                                       : model_.ne));
+    return layerStreamTime(pol, !ffnOnCpu(pol));
 }
 
 Seconds
@@ -140,6 +141,7 @@ PerfModel::layerDecode(const Policy &pol) const
     pol.validate();
     std::size_t mu = pol.microBatch;
     double n_ub = static_cast<double>(pol.numUbs());
+    bool cpu_ffn = ffnOnCpu(pol);
 
     LayerTime t;
     t.commHtoD = weightStreamTime(pol) +
@@ -154,12 +156,18 @@ PerfModel::layerDecode(const Policy &pol) const
                        model_.kvBytesPerTokenPerLayer();
         t.commDtoH += bytes / hw_.effBcg();
     }
+    if (cpu_ffn) {
+        // The FFN's input rows go to the host and its output comes
+        // back, one hidden state per token each way.
+        t.commHtoD += n_ub * hiddenLoadTime(mu);
+        t.commDtoH += n_ub * hiddenLoadTime(mu);
+    }
 
     t.tGpu = n_ub * (preAttnGpuTime(mu) +
-                     (pol.ffnOnGpu ? postAttnGpuTime(mu) : 0.0) +
+                     (cpu_ffn ? 0.0 : postAttnGpuTime(mu)) +
                      (pol.attnOnGpu ? gpuAttnTime(mu) : 0.0));
     t.tCpu = (pol.attnOnGpu ? 0.0 : n_ub * cpuAttnTime(mu)) +
-             (pol.ffnOnGpu ? 0.0 : n_ub * cpuFfnTime(mu));
+             (cpu_ffn ? n_ub * cpuFfnTime(mu) : 0.0);
 
     t.bubble = 0.0;
     t.total = std::max({t.commHtoD, t.commDtoH, t.tCpu, t.tGpu});
@@ -197,8 +205,8 @@ PerfModel::layerDecode(const Policy &pol, SystemKind sys) const
         double serial =
             n_ub * (preAttnGpuTime(mu) + qkvOffloadTime(mu) +
                     cpuAttnTimeNaive(mu) + hiddenLoadTime(mu) +
-                    (pol.ffnOnGpu ? postAttnGpuTime(mu)
-                                  : cpuFfnTime(mu)));
+                    (ffnOnCpu(pol) ? cpuFfnTime(mu)
+                                   : postAttnGpuTime(mu)));
         t.bubble = weightStreamTime(pol) + serial - t.total;
         t.total = weightStreamTime(pol) + serial;
         break;
@@ -240,9 +248,9 @@ PerfModel::prefillTime(const Policy &pol) const
     Seconds compute =
         std::max(c.flops / hw_.effPg(),
                  (c.weightBytes + c.actBytes) / hw_.effBg());
-    // Prefill routes every prompt token: the whole layer streams.
-    Seconds weights =
-        layerStreamTime(pol, static_cast<double>(model_.ne));
+    // Prefill routes every prompt token: with F_g = GPU the whole
+    // layer streams.
+    Seconds weights = layerStreamTime(pol, pol.ffnOnGpu);
     Seconds kv_off = c.kvBytes / hw_.effBcg();
     // Prefill is compute-bound and overlaps I/O (§4 footnote 7).
     Seconds per_layer = std::max({compute, weights, kv_off});

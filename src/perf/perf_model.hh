@@ -66,16 +66,15 @@ class PerfModel
     Seconds qkvOffloadTime(std::size_t mu) const;
     Seconds hiddenLoadTime(std::size_t mu) const;
     /**
-     * Per-layer decode weight stream. A round of one micro-batch whose
-     * mu * k routed slots are fewer than ne streams the dense weights
-     * plus only mu * k experts, fetched after the router runs — the
-     * same rule the engine's router-gated rounds apply (routerGated,
-     * sched/round_plan.hh); any other round streams the whole layer.
+     * True when @p pol's decode rounds run the MoE FFN on the CPU:
+     * F_g = CPU, or one micro-batch whose mu * k routed slots are
+     * fewer than ne — the rounds the engine runs that way
+     * (cpuFfnRound, sched/round_plan.hh).
      */
+    bool ffnOnCpu(const Policy &pol) const;
+    /** Per-layer decode weight stream: the dense weights, plus every
+     *  expert unless the FFN runs on the CPU (ffnOnCpu). */
     Seconds weightStreamTime(const Policy &pol) const;
-    /** Stream time of one layer's weights with @p experts of its ne
-     *  expert FFNs included. */
-    Seconds layerStreamTime(const Policy &pol, double experts) const;
     Seconds kvLoadTime(std::size_t mu, const Policy &pol) const;
 
     /** Eq. 12 layer decode latency under a CGOPipe-quality overlap. */
@@ -104,6 +103,10 @@ class PerfModel
     bool padded() const { return padded_; }
 
   private:
+    /** Stream time of one layer's dense weights, plus its experts
+     *  when @p experts. */
+    Seconds layerStreamTime(const Policy &pol, bool experts) const;
+
     ModelConfig model_;
     HardwareConfig hw_;
     WorkloadShape w_;

@@ -18,14 +18,12 @@ namespace moelight {
 namespace {
 
 /** Pinned staging ring geometry: pages big enough for the largest
- *  weight tensor, a few of them for overlap. */
+ *  weight page (lmHead is never staged), a few of them for overlap. */
 std::size_t
 maxTensorFloats(const ModelConfig &cfg)
 {
-    std::size_t mx = cfg.h1 * cfg.h2;             // expert matrices
-    mx = std::max(mx, cfg.h1 * cfg.nq * cfg.headDim);
-    mx = std::max(mx, cfg.vocab * cfg.h1);        // not staged, safety
-    return mx;
+    return std::max(cfg.h1 * cfg.h2,               // expert matrices
+                    cfg.h1 * cfg.nq * cfg.headDim);  // wq, wo
 }
 
 } // namespace
@@ -73,6 +71,10 @@ struct PipelinedEngine::StepState
     // Host side.
     std::vector<std::vector<float>> qkvCpu;
     std::vector<std::vector<float>> attnCpu;
+    // A CPU-FFN round's one micro-batch: the normed rows and routing
+    // Route hands to the host, the FFN output, and its copy back.
+    std::vector<float> normCpu, ffnCpu, ffnGpu;
+    std::vector<TokenRouting> routingCpu;
 
     std::size_t
     ubSize(std::size_t j) const
@@ -136,7 +138,8 @@ PipelinedEngine::PipelinedEngine(const ModelWeights &weights,
 
     growGpuScratch(cfg_.microBatch, cfg_.microBatch);
 
-    prefillPlan_ = planPrefillRound(c.l, store_.pagesPerLayer());
+    prefillPlan_ = planPrefillRound(c.l, store_.pagesPerLayer(),
+                                    PagedWeightStore::kDensePages);
     st_ = std::make_unique<StepState>();
     exec_ = std::make_unique<StreamExecutor>();
 }
@@ -474,8 +477,13 @@ PipelinedEngine::decode(const std::vector<SlotIdx> &live)
                      .chunks = st.numUbs,
                      .pagesPerLayer = store_.pagesPerLayer(),
                      .densePages = PagedWeightStore::kDensePages,
-                     .gated = routerGated(st.numUbs, n_act, w_.cfg.k,
-                                          w_.cfg.ne)};
+                     .cpuFfn = cpuFfnRound(st.numUbs, n_act, w_.cfg.k,
+                                           w_.cfg.ne)};
+    if (shape.cpuFfn) {
+        st.normCpu.resize(n_act * h1_);
+        st.ffnCpu.resize(n_act * h1_);
+        st.ffnGpu.resize(n_act * h1_);
+    }
     if (shape != decodeShape_) {
         decodeShape_ = shape;
         decodePlan_ = planDecodeRound(shape);
@@ -610,41 +618,39 @@ PipelinedEngine::runNode(const PlanNode &node)
         te_.copyToGpu(st.attnCpu[j].data(), st.attnGpu[j].data(),
                       st.ubSize(j) * qDim_);
         return;
-      case Stage::PostAttn:  // Route, then Ffn, in one task
+      case Stage::PostAttn:  // Route, then the MoE FFN, in one task
       case Stage::Route:
         route(layer, st.attnGpu[j].data(), st.xGpu[j].data(),
               st.ubSize(j));
         if (node.stage == Stage::Route)
             return;
-        [[fallthrough]];
-      case Stage::Ffn: {
-        // Ffn is the next Gpu task after Route, so the normed rows
-        // Route left in gpuNormB_ are still there. The last layer
-        // also samples the round's token for every row.
-        std::size_t n = st.ubSize(j);
-        float *x = st.xGpu[j].data();
-        ffn(layer, x, n);
-        if (layer.value() + 1 < w_.cfg.l)
-            return;
-        std::vector<const float *> rows(n);
-        for (std::size_t r = 0; r < n; ++r)
-            rows[r] = x + r * h1_;
-        sample(rows, st.rowSlot.data() + st.ubStart[j]);
+        // The FFN reads the normed rows Route left in gpuNormB_.
+        ffn(layer, st.xGpu[j].data(), st.ubSize(j));
+        break;
+      case Stage::OffloadFfn:
+        // Route's scratch stays put until this layer's Ffn: the Gpu
+        // queue's next task waits on it. The routing (k expert ids
+        // and weights per row) rides along outside the byte count.
+        te_.copyToHost(gpuNormB_.data(), st.normCpu.data(),
+                       st.ubSize(j) * h1_);
+        st.routingCpu = routing_;
+        return;
+      case Stage::CpuFfn: {
+        const LayerWeights &lw = w_.layers[layer.value()];
+        moeFfnForward(st.normCpu.data(), st.routingCpu, lw.experts(),
+                      st.ubSize(j), h1_, w_.cfg.h2, st.ffnCpu.data(),
+                      attnPool_.get());
         return;
       }
-      case Stage::FetchExperts: {
-        // Only the experts the router named: at most rows * k of them.
-        std::vector<ExpertIdx> routed;
-        for (const TokenRouting &r : routing_)
-            for (int e : r.experts)
-                routed.push_back(ExpertIdx(e));
-        std::sort(routed.begin(), routed.end());
-        routed.erase(std::unique(routed.begin(), routed.end()),
-                     routed.end());
-        for (ExpertIdx e : routed)
-            store_.loadExpert(layer, e, te_);
+      case Stage::LoadFfn:
+        te_.copyToGpu(st.ffnCpu.data(), st.ffnGpu.data(),
+                      st.ubSize(j) * h1_);
         return;
-      }
+      case Stage::Ffn:
+        for (std::size_t r = 0; r < st.ubSize(j); ++r)
+            accumulate(st.xGpu[j].data() + r * h1_,
+                       st.ffnGpu.data() + r * h1_, h1_);
+        break;
       case Stage::Prefill:
         prefillLayer(layer);
         return;
@@ -658,6 +664,15 @@ PipelinedEngine::runNode(const PlanNode &node)
         return;
       }
     }
+    // PostAttn and Ffn end a layer; the last layer also samples the
+    // round's token for every row of the micro-batch.
+    if (layer.value() + 1 < w_.cfg.l)
+        return;
+    std::size_t n = st.ubSize(j);
+    std::vector<const float *> rows(n);
+    for (std::size_t r = 0; r < n; ++r)
+        rows[r] = st.xGpu[j].data() + r * h1_;
+    sample(rows, st.rowSlot.data() + st.ubStart[j]);
 }
 
 void

@@ -22,9 +22,12 @@
  *
  * The round's schedule is data: the decode round and the admission
  * prefill are plans from sched/round_plan.hh (Algorithm 1's order,
- * the weight stream, router-gated rounds), which this engine submits
+ * the weight stream, CPU-FFN rounds), which this engine submits
  * through one loop, binding one body per stage. The simulator builds
- * its CGOPipe graph from the same plans.
+ * its CGOPipe graph from the same plans. A CPU-FFN round (one small
+ * micro-batch, cpuFfnRound) runs its MoE FFN on the Cpu queue over
+ * the host-resident experts, spread over the attention pool, so no
+ * expert page crosses the link.
  *
  * Each layer's GPU math is written once, as four stages over n
  * contiguous hidden rows: PreAttn (attn_norm, Q/K/V projections),
@@ -81,10 +84,11 @@ struct EngineConfig
      *  batcher and are admitted as slots free up. */
     std::size_t maxConcurrency = 16;
     /** Worker threads for the CPU attention kernel (the paper's
-     *  24-core MKL kernel); 0 = run attention on the CPU queue
-     *  thread alone. They come out of the same host core budget as
-     *  the Gpu queue's kernel pool: every attention thread is one
-     *  fewer GPU-kernel worker (see gpuPoolWorkers). */
+     *  24-core MKL kernel) and a CPU-FFN round's MoE FFN; 0 = run
+     *  both on the CPU queue thread alone. They come out of the same
+     *  host core budget as the Gpu queue's kernel pool: every
+     *  attention thread is one fewer GPU-kernel worker (see
+     *  gpuPoolWorkers). */
     std::size_t cpuAttnThreads = 0;
     /** Rounds the admission queue's head may be passed over before
      *  younger requests are held back for it — and, with active
@@ -232,8 +236,8 @@ class PipelinedEngine : public Engine
     PageArena pinned_;
     TransferEngine te_;
     PagedWeightStore store_;
-    /** CPU attention workers; dispatched only from the Cpu queue
-     *  thread. */
+    /** CPU attention and CPU-FFN workers; dispatched only from the
+     *  Cpu queue thread. */
     std::unique_ptr<ThreadPool> attnPool_;
     /** Kernel workers for the emulated GPU (decode GEMMs, MoE FFN,
      *  lmHead and the whole prefill task); dispatched only from the
@@ -263,8 +267,9 @@ class PipelinedEngine : public Engine
      *  instead of per-row m=1 GEMVs (bit-identical per row). */
     std::vector<float> gpuLogitsB_;
     /** The PostAttn routing buffer: one row per token Route routed.
-     *  In a gated round FetchExperts reads it on the HtoD queue
-     *  between Route and Ffn (docs/concurrency.md). */
+     *  In a CPU-FFN round OffloadFfn copies it to the host on the DtoH
+     *  queue, with gpuNormB_, before the Gpu queue's next task
+     *  (docs/concurrency.md). */
     std::vector<TokenRouting> routing_;
     // Attention scratch (grow-only; see ensureAttnScratch).
     std::vector<float> cpuAttnScratch_, cpuBatchScratch_;

@@ -157,16 +157,6 @@ PagedWeightStore::loadLayer(LayerIdx layer, TransferEngine &te)
         loadPage(layer, p, te);
 }
 
-void
-PagedWeightStore::loadExpert(LayerIdx layer, ExpertIdx e,
-                             TransferEngine &te)
-{
-    panicIf(e.value() >= weights_.cfg.ne, "expert ", e,
-            " out of range");
-    for (std::size_t p = 0; p < kPagesPerExpert; ++p)
-        loadPage(layer, expertPage(e) + p, te);
-}
-
 const float *
 PagedWeightStore::residentPage(LayerIdx layer, std::size_t pageIdx) const
 {

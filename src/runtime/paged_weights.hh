@@ -16,10 +16,9 @@
  * Page layout of a layer (the manifest order): the kDensePages dense
  * pages first — attn_norm, wq, wk, wv, wo, ffn_norm, router — then
  * expert e's w1, w3, w2 at pages kDensePages + 3e + {0, 1, 2}. A
- * caller that knows a round's routing can therefore stream the dense
- * pages [0, kDensePages) ahead (loadPage) and fetch only the routed
- * experts after the router runs (loadExpert); the residency check in tensor() and
- * expert() still panics on any page that was not fetched.
+ * round that runs its MoE FFN on the CPU streams only the dense pages
+ * [0, kDensePages); the residency check in tensor() and expert()
+ * panics on any page that was not streamed.
  *
  * Residency: every page records the layer whose copy it holds, and a
  * load of a page that already holds that layer is skipped — no bytes
@@ -90,9 +89,6 @@ class PagedWeightStore
 
     /** Convenience: transfer all pages of @p layer. */
     void loadLayer(LayerIdx layer, TransferEngine &te);
-
-    /** Transfer expert @p e 's w1/w3/w2 pages of @p layer. */
-    void loadExpert(LayerIdx layer, ExpertIdx e, TransferEngine &te);
 
     /**
      * GPU-side pointer for tensor @p name of @p layer. The layer's

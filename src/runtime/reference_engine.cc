@@ -145,15 +145,8 @@ ReferenceEngine::forwardToken(SeqId seq, int token)
         matmulTransposedB(norm.data(), lw.router.data(),
                           router_logits.data(), 1, h1, cfg.ne);
         TokenRouting routing = routeTopK(router_logits, cfg.k);
-        auto resolve = [&](int e) {
-            ExpertWeights ew;
-            ew.w1 = lw.w1[static_cast<std::size_t>(e)].data();
-            ew.w3 = lw.w3[static_cast<std::size_t>(e)].data();
-            ew.w2 = lw.w2[static_cast<std::size_t>(e)].data();
-            return ew;
-        };
-        moeFfnForward(norm.data(), {&routing, 1}, resolve, 1, h1, cfg.h2,
-                      ffn_out.data());
+        moeFfnForward(norm.data(), {&routing, 1}, lw.experts(), 1, h1,
+                      cfg.h2, ffn_out.data());
         accumulate(x.data(), ffn_out.data(), h1);
     }
     return x;

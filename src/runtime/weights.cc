@@ -16,6 +16,15 @@ randTensor(std::vector<std::size_t> shape, Rng &rng, float scale)
 
 } // namespace
 
+ExpertResolver
+LayerWeights::experts() const
+{
+    return [this](int e) {
+        auto i = static_cast<std::size_t>(e);
+        return ExpertWeights{w1[i].data(), w3[i].data(), w2[i].data()};
+    };
+}
+
 ModelWeights
 ModelWeights::random(const ModelConfig &cfg, std::uint64_t seed)
 {

@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "kernels/moe_ffn.hh"
 #include "model/model_config.hh"
 #include "tensor/tensor.hh"
 
@@ -30,6 +31,10 @@ struct LayerWeights
     std::vector<Tensor> w1;  ///< per expert, [h2, h1]
     std::vector<Tensor> w3;  ///< per expert, [h2, h1]
     std::vector<Tensor> w2;  ///< per expert, [h1, h2]
+
+    /** Resolves an expert to these host tensors (for moeFfnForward
+     *  on the CPU); must not outlive the layer. */
+    ExpertResolver experts() const;
 };
 
 /** Full model parameters. */

@@ -26,7 +26,7 @@ add(RoundPlan &plan, Stage stage, std::size_t layer, std::size_t ub,
 } // namespace
 
 bool
-routerGated(std::size_t ubs, std::size_t rows, std::size_t k,
+cpuFfnRound(std::size_t ubs, std::size_t rows, std::size_t k,
             std::size_t ne)
 {
     return ubs == 1 && rows * k < ne;
@@ -36,16 +36,17 @@ ResourceKind
 PlanNode::queue() const
 {
     using R = ResourceKind;
-    static constexpr R kQueues[] = {R::HtoD, R::Gpu, R::DtoH, R::Cpu,
-                                    R::HtoD, R::Gpu, R::Gpu,  R::HtoD,
-                                    R::Gpu,  R::Gpu, R::Gpu};
+    static constexpr R kQueues[] = {R::HtoD, R::Gpu,  R::DtoH, R::Cpu,
+                                    R::HtoD, R::Gpu,  R::Gpu,  R::DtoH,
+                                    R::Cpu,  R::HtoD, R::Gpu,  R::Gpu,
+                                    R::Gpu};
     return kQueues[static_cast<std::size_t>(stage)];
 }
 
 std::string
 label(const PlanNode &n)
 {
-    std::string s = {"WAQBHCRFEPS"[static_cast<std::size_t>(n.stage)]};
+    std::string s = {"WAQBHCRDFYEPS"[static_cast<std::size_t>(n.stage)]};
     s += "(L" + std::to_string(n.layer.value()) + ",U" +
          std::to_string(n.ub);
     if (n.stage == Stage::Weights)
@@ -59,14 +60,14 @@ planDecodeRound(const RoundShape &s)
 {
     panicIf(s.layers == 0 || s.ubs == 0 || s.chunks == 0,
             "a decode round needs layers, micro-batches and chunks");
-    panicIf(s.gated && s.ubs != 1,
-            "a router-gated round has one micro-batch");
+    panicIf(s.cpuFfn && s.ubs != 1,
+            "a CPU-FFN round has one micro-batch");
     const std::size_t ubs = s.ubs, total = s.layers * ubs;
-    const std::size_t pages = s.gated ? s.densePages : s.pagesPerLayer;
+    const std::size_t pages = s.cpuFfn ? s.densePages : s.pagesPerLayer;
     RoundPlan plan;
     std::vector<NodeId> ready(s.layers + 1);  ///< last chunk per layer
     std::vector<NodeId> attn(total), post(ubs);
-    /** Last PostAttn of the layer each slot holds. */
+    /** Last weight reader of the layer each slot holds. */
     std::array<std::optional<NodeId>, kWeightSlots> slot_busy;
 
     ready[0] = add(plan, Stage::Weights, 0, 0, {}, 0, pages);
@@ -104,19 +105,23 @@ planDecodeRound(const RoundShape &s)
     for (std::size_t m = 0; m < total; ++m) {
         std::size_t i = m / ubs, j = m % ubs;
         NodeId weights = kReadyRef + static_cast<NodeId>(i);
-        if (s.gated)
+        if (s.cpuFfn)
             stream(i, j);
         NodeId loadh = add(plan, Stage::LoadH, i, j, {attn[m]});
-        if (s.gated) {
-            NodeId route = add(plan, Stage::Route, i, j, {loadh, weights});
-            NodeId fetch = add(plan, Stage::FetchExperts, i, j, {route});
-            post[j] = add(plan, Stage::Ffn, i, j, {fetch});
+        NodeId reader;
+        if (s.cpuFfn) {
+            reader = add(plan, Stage::Route, i, j, {loadh, weights});
+            NodeId off = add(plan, Stage::OffloadFfn, i, j, {reader});
+            NodeId ffn = add(plan, Stage::CpuFfn, i, j, {off});
+            NodeId back = add(plan, Stage::LoadFfn, i, j, {ffn});
+            post[j] = add(plan, Stage::Ffn, i, j, {back});
         } else {
             stream(i, j);
-            post[j] = add(plan, Stage::PostAttn, i, j, {loadh, weights});
+            reader = post[j] =
+                add(plan, Stage::PostAttn, i, j, {loadh, weights});
         }
         if (j + 1 == ubs)
-            slot_busy[i % kWeightSlots] = post[j];
+            slot_busy[i % kWeightSlots] = reader;
         pump(m + la);
     }
 
@@ -128,9 +133,11 @@ planDecodeRound(const RoundShape &s)
 }
 
 RoundPlan
-planPrefillRound(std::size_t layers, std::size_t pages)
+planPrefillRound(std::size_t layers, std::size_t pages,
+                 std::size_t densePages)
 {
-    panicIf(layers == 0, "a prefill round needs layers");
+    panicIf(layers < kWeightSlots,
+            "a prefill round needs a layer per weight slot");
     RoundPlan plan;
     std::vector<NodeId> done;
     for (std::size_t li = 0; li < layers; ++li) {
@@ -144,6 +151,10 @@ planPrefillRound(std::size_t layers, std::size_t pages)
             deps.push_back(done[li - 1]);
         done.push_back(add(plan, Stage::Prefill, li, 0, std::move(deps)));
     }
+    // Layer `layers` is the next round's layer 0, in slot 0 after
+    // layer l - 2.
+    add(plan, Stage::Weights, layers, 0, {done[layers - kWeightSlots]}, 0,
+        densePages);
     add(plan, Stage::Sample, layers - 1, 0, {done.back()});
     return plan;
 }

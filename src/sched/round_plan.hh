@@ -24,18 +24,24 @@
  * occupant has retired; with more micro-batches than pages the first
  * chunks are empty.
  *
- * Router-gated rounds (routerGated). One micro-batch that cannot
- * touch every expert streams only each layer's dense pages ahead, and
- * its PostAttn splits into Route (O projection, residual, router,
- * top-k), FetchExperts (the routed experts' pages, on HtoD, after
- * Route of the same layer, hence after layer t - 2's readers) and Ffn.
- * The dense chunk is queued ahead of LoadH, so it streams under the
- * attention. The same weights are read, so tokens do not change.
+ * CPU-FFN rounds (cpuFfnRound). One micro-batch that cannot touch
+ * every expert runs its MoE FFN on the CPU (the policy's F_g = CPU,
+ * §4.2) over the host-resident experts, so no expert page crosses
+ * the link: each layer streams only its dense pages ahead, and its
+ * PostAttn splits into Route (O projection, residual, ffn_norm,
+ * router, top-k), OffloadFfn (the normed rows and their routing to
+ * the host), CpuFfn, LoadFfn (the FFN output back) and Ffn (the
+ * residual add). The dense chunk is queued ahead of LoadH, so it
+ * streams under the attention; Route is the layer's last reader of
+ * its slot. The same kernel reads the same floats, so tokens do not
+ * change.
  *
  * Prefill round (the zigzag of §4): per layer, a Weights node for the
  * whole layer (waiting on layer t - 2's Prefill), then a Prefill node
  * over every admitted prompt; a final Sample node draws each prompt's
- * first token.
+ * first token. A wrap-around Weights node streams layer 0's dense
+ * pages into slot 0 once layer l - 2's Prefill retired, so the decode
+ * round that follows finds them resident.
  */
 
 #ifndef MOELIGHT_SCHED_ROUND_PLAN_HH
@@ -58,9 +64,9 @@ constexpr std::size_t kLookahead = 2;
 constexpr std::size_t kWeightSlots = 2;
 
 /** True when a decode round of @p ubs micro-batches over @p rows rows,
- *  each routed to @p k of @p ne experts, is router-gated: one
- *  micro-batch with rows * k < ne. */
-bool routerGated(std::size_t ubs, std::size_t rows, std::size_t k,
+ *  each routed to @p k of @p ne experts, runs its MoE FFN on the CPU:
+ *  one micro-batch with rows * k < ne. */
+bool cpuFfnRound(std::size_t ubs, std::size_t rows, std::size_t k,
                  std::size_t ne);
 
 /** What a node does; the letter starts its label, then its queue. */
@@ -71,10 +77,12 @@ enum class Stage : std::uint8_t
     OffloadQkv,    ///< Q, DtoH: Q/K/V to host, K/V appended
     CpuAttn,       ///< B, Cpu: decode attention
     LoadH,         ///< H, HtoD: attention output back
-    PostAttn,      ///< C, Gpu: Route then Ffn in one task
+    PostAttn,      ///< C, Gpu: Route, then the MoE FFN and residual
     Route,         ///< R, Gpu: O projection, residual, router, top-k
-    FetchExperts,  ///< F, HtoD: the routed experts' pages
-    Ffn,           ///< E, Gpu: MoE FFN, residual
+    OffloadFfn,    ///< D, DtoH: the normed rows and routing to host
+    CpuFfn,        ///< F, Cpu: MoE FFN over the host-resident experts
+    LoadFfn,       ///< Y, HtoD: the FFN output back
+    Ffn,           ///< E, Gpu: residual add of the CPU FFN's output
     Prefill,       ///< P, Gpu: one layer of every admitted prompt
     Sample,        ///< S, Gpu: each admitted prompt's first token
 };
@@ -106,14 +114,15 @@ struct RoundShape
     std::size_t ubs = 0;            ///< micro-batches
     std::size_t chunks = 0;         ///< Weights nodes per streamed layer
     std::size_t pagesPerLayer = 0;  ///< pages a full layer streams
-    std::size_t densePages = 0;     ///< pages a gated layer streams ahead
-    bool gated = false;
+    std::size_t densePages = 0;     ///< pages a CPU-FFN layer streams
+    bool cpuFfn = false;            ///< cpuFfnRound()
 
     bool operator==(const RoundShape &) const = default;
 };
 
 RoundPlan planDecodeRound(const RoundShape &shape);
-RoundPlan planPrefillRound(std::size_t layers, std::size_t pages);
+RoundPlan planPrefillRound(std::size_t layers, std::size_t pages,
+                           std::size_t densePages);
 
 /** "A(L3,U1)"; a Weights node adds its pages: "W(L4,U0,p0:7)". */
 std::string label(const PlanNode &n);

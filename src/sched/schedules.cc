@@ -111,17 +111,17 @@ buildPlanned(Builder &b, std::size_t chunks)
         // Abstract pages: each chunk one equal share of the stream.
         .pagesPerLayer = chunks,
         .densePages = chunks,
-        .gated = routerGated(b.pol.numUbs(), mu, m.k, m.ne)};
+        .cpuFfn = cpuFfnRound(b.pol.numUbs(), mu, m.k, m.ne)};
     RoundPlan plan = planDecodeRound(shape);
 
-    // A gated round streams the dense pages ahead and fetches the
-    // routed experts' share of the stream after the router.
+    // A CPU-FFN round is priced as F_g = CPU: its stream is the dense
+    // weights, and the whole post-attention runs as CpuFfn, so Route
+    // and Ffn add no GPU time.
     Seconds stream = pm.weightStreamTime(b.pol);
-    Seconds ahead = shape.gated ? pm.layerStreamTime(b.pol, 0.0) : stream;
     auto duration = [&](const PlanNode &n) -> Seconds {
         switch (n.stage) {
           case Stage::Weights:
-            return ahead * static_cast<double>(n.pageHi - n.pageLo) /
+            return stream * static_cast<double>(n.pageHi - n.pageLo) /
                    static_cast<double>(chunks);
           case Stage::PreAttn:
             return pm.preAttnGpuTime(mu);
@@ -130,12 +130,13 @@ buildPlanned(Builder &b, std::size_t chunks)
           case Stage::CpuAttn:
             return pm.cpuAttnTime(mu);
           case Stage::LoadH:
+          case Stage::OffloadFfn:
+          case Stage::LoadFfn:
             return pm.hiddenLoadTime(mu);
           case Stage::PostAttn:
-          case Stage::Route:  // PostAttn's GPU time; Ffn adds none
             return pm.postAttnGpuTime(mu);
-          case Stage::FetchExperts:
-            return stream - ahead;
+          case Stage::CpuFfn:
+            return pm.cpuFfnTime(mu);
           default:
             return 0.0;
         }

@@ -9,8 +9,8 @@
  *   CGOPipe      the engine's round plan (sched/round_plan.hh):
  *                paged weights interleaved with activation loads,
  *                CPU attention launched two micro-batches ahead
- *                (Algorithm 1), router-gated rounds split into
- *                Route / FetchExperts / Ffn.
+ *                (Algorithm 1), CPU-FFN rounds split into
+ *                Route / OffloadFfn / CpuFfn / LoadFfn / Ffn.
  *   S2           FastDecode*-style: the same plan with the weights
  *                transferred as one unpaged chunk per layer.
  *   S3           FlexGen(c): CPU attention serializing the GPU,

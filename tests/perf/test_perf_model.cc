@@ -170,20 +170,33 @@ denseBytes(const ModelConfig &m)
            static_cast<double>(m.ne) * expertBytes(m);
 }
 
-TEST(PerfModel, LoneRowStreamsDensePlusRoutedExperts)
+TEST(PerfModel, LoneRowRunsFfnOnCpuAndStreamsDensePages)
 {
     // Mixtral 8x7B routes top-2 of 8: one row in one micro-batch
-    // needs 2 experts per layer, so the stream is dense + 2 experts.
+    // touches 2 experts per layer, so its round runs the MoE FFN on
+    // the CPU (F_g = CPU). Only the dense weights stream; the FFN's
+    // input and output cross the link as one hidden state each way.
     PerfModel pm = s1Model();
     ModelConfig m = mixtral8x7b();
     Policy p = cgoPolicy(1, 1);
-    Seconds want = (denseBytes(m) + 2.0 * expertBytes(m)) /
-                   t4Host().effBcg();
+    EXPECT_TRUE(pm.ffnOnCpu(p));
+    Seconds want = denseBytes(m) / t4Host().effBcg();
     EXPECT_NEAR(pm.weightStreamTime(p), want, 1e-12);
     LayerTime t = pm.layerDecode(p);
-    EXPECT_NEAR(t.commHtoD, want + pm.hiddenLoadTime(1), 1e-12);
+    EXPECT_NEAR(t.commHtoD, want + 2.0 * pm.hiddenLoadTime(1), 1e-12);
+    EXPECT_NEAR(t.commDtoH,
+                pm.qkvOffloadTime(1) + pm.hiddenLoadTime(1), 1e-12);
+    EXPECT_NEAR(t.tCpu, pm.cpuAttnTime(1) + pm.cpuFfnTime(1), 1e-12);
+    EXPECT_NEAR(t.tGpu, pm.preAttnGpuTime(1), 1e-12);
 
-    // Resident weights scale the gated stream like the full one.
+    // It is priced exactly as an F_g = CPU policy of the same shape.
+    Policy fg_cpu = cgoPolicy(1, 1);
+    fg_cpu.ffnOnGpu = false;
+    LayerTime u = pm.layerDecode(fg_cpu);
+    EXPECT_DOUBLE_EQ(u.total, t.total);
+    EXPECT_DOUBLE_EQ(u.commHtoD, t.commHtoD);
+
+    // Resident weights scale the dense stream like the full one.
     p.weightsOnGpu = 0.5;
     EXPECT_NEAR(pm.weightStreamTime(p), 0.5 * want, 1e-12);
 }
@@ -194,6 +207,7 @@ TEST(PerfModel, FullStreamWhenRoutedSlotsCoverExperts)
     Seconds full =
         mixtral8x7b().weightBytesPerLayer() / t4Host().effBcg();
     // mu * k == ne: every expert may be routed.
+    EXPECT_FALSE(pm.ffnOnCpu(cgoPolicy(4, 4)));
     EXPECT_NEAR(pm.weightStreamTime(cgoPolicy(4, 4)), full, 1e-12);
     // Several micro-batches stream the whole layer however small
     // each one is.
@@ -203,8 +217,8 @@ TEST(PerfModel, FullStreamWhenRoutedSlotsCoverExperts)
 
 TEST(PerfModel, PrefillStreamsWholeLayerEvenForOneRow)
 {
-    // Prefill routes every prompt token, so the gated decode stream
-    // must not leak into it.
+    // Prefill routes every prompt token, so the CPU-FFN decode round's
+    // dense-only stream must not leak into it.
     PerfModel pm = s1Model();
     ModelConfig m = mixtral8x7b();
     Seconds full = m.weightBytesPerLayer() / t4Host().effBcg();

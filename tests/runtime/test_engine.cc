@@ -266,11 +266,13 @@ TEST(PipelinedEngine, RejectsBadPrompts)
 }
 
 // ---------------------------------------------------------------------
-// Router-gated rounds: one micro-batch whose rows * k is below ne
-// streams dense pages ahead and fetches only the routed experts.
+// CPU-FFN rounds: one micro-batch whose rows * k is below ne runs its
+// MoE FFN on the CPU over the host-resident experts, so only dense
+// pages cross the link.
 // ---------------------------------------------------------------------
 
-/** tinyMixtral with top-2-of-8 routing: rounds of 1-3 rows gate. */
+/** tinyMixtral with top-2-of-8 routing: rounds of 1-3 rows run the
+ *  FFN on the CPU. */
 ModelConfig
 top2of8()
 {
@@ -298,6 +300,22 @@ expertBytes(const LayerWeights &lw)
            sizeof(float);
 }
 
+/** Activation bytes one decode row moves per layer: Q/K/V to the
+ *  host and the attention output back, and with @p cpuFfn the FFN's
+ *  input rows out and its output back, h1 floats each way. */
+struct ActBytes
+{
+    std::uint64_t toHost, toGpu;
+};
+
+ActBytes
+actBytesPerRowLayer(const ModelConfig &c, bool cpuFfn)
+{
+    std::uint64_t q = c.nq * c.headDim, kv = c.nkv * c.headDim;
+    std::uint64_t ffn = cpuFfn ? c.h1 : 0;
+    return {(q + 2 * kv + ffn) * sizeof(float), (q + ffn) * sizeof(float)};
+}
+
 std::optional<QuantKind>
 quantOf(int idx)
 {
@@ -308,17 +326,20 @@ quantOf(int idx)
     return std::nullopt;
 }
 
-/** (active rows, KV mode: 0 float / 1 int8 / 2 int4). */
-class GatedRounds
-    : public ::testing::TestWithParam<std::tuple<int, int>>
+/** (active rows, KV mode: 0 float / 1 int8 / 2 int4, cpuAttnThreads,
+ *  non-unit norm gains). */
+class CpuFfnRounds
+    : public ::testing::TestWithParam<std::tuple<int, int, int, bool>>
 {
 };
 
-TEST_P(GatedRounds, MatchReferenceAndStreamOnlyRoutedExperts)
+TEST_P(CpuFfnRounds, MatchReferenceAndStreamNoExpertPage)
 {
-    auto [rows, qidx] = GetParam();
+    auto [rows, qidx, threads, gains] = GetParam();
     std::optional<QuantKind> quant = quantOf(qidx);
     ModelWeights w = ModelWeights::random(top2of8(), 51);
+    if (gains)
+        engine_test::randomizeNormGains(w, 56);
     auto prompts = makePrompts(w.cfg, static_cast<std::size_t>(rows), 2,
                                9, 61 + static_cast<std::uint64_t>(rows));
     const int gen = 6;
@@ -329,59 +350,63 @@ TEST_P(GatedRounds, MatchReferenceAndStreamOnlyRoutedExperts)
     ec.microBatch = 4;  // every row in one micro-batch
     ec.kvPageTokens = 4;
     ec.kvQuant = quant;
+    ec.cpuAttnThreads = static_cast<std::size_t>(threads);
     PipelinedEngine eng(w, ec);
     auto got = serveAll(eng, prompts, gen);
     ASSERT_EQ(got.size(), expect.size());
     for (std::size_t s = 0; s < got.size(); ++s)
         EXPECT_EQ(got[s], expect[s]) << "seq " << s;
 
-    // The admission prefill streams every layer, leaving layers l - 2
-    // and l - 1 in the two weight slots. Every decode round then
+    // The admission prefill streams every layer whole, then the next
+    // round's layer-0 dense pages into slot 0. Every decode round then
     // streams layers 1 .. l - 1 and, under its last layer, the next
-    // round's layer 0; only the first round's layer-0 preload copies
-    // too, because the prefill left layer l - 2 in slot 0.
+    // round's layer 0; its layer-0 preload finds the dense pages
+    // resident. All rows decode in each of the gen - 1 rounds.
+    TransferStats ts = eng.transferStats();
     const LayerWeights &lw = w.layers[0];
     std::uint64_t layers = w.cfg.l;
     std::uint64_t full =
         layers * (denseBytes(lw) + w.cfg.ne * expertBytes(lw));
-    std::uint64_t streamed = eng.transferStats().pinnedToGpu;
-    std::uint64_t routed = static_cast<std::uint64_t>(rows) * w.cfg.k;
     std::uint64_t rounds = gen - 1;
-    if (routed < w.cfg.ne) {
-        // A gated round streams each layer's dense pages (the slots
-        // alternate layers, so these always copy), plus at most rows
-        // * k routed experts per layer: fewer when a slot still holds
-        // some of them from an earlier round. Round 1's layers 0 and
-        // 1 find only the prefill's layers 2 and 3 in the slots, so
-        // each copies at least k experts.
-        std::uint64_t dense = (rounds * layers + 1) * denseBytes(lw);
-        ASSERT_GE(streamed, full + dense);
-        std::uint64_t experts = streamed - full - dense;
-        EXPECT_EQ(experts % expertBytes(lw), 0u);
-        EXPECT_LE(experts, rounds * layers * routed * expertBytes(lw));
-        EXPECT_GE(experts, 2 * w.cfg.k * expertBytes(lw));
+    std::uint64_t row_layers =
+        rounds * static_cast<std::uint64_t>(rows) * layers;
+    bool cpu_ffn =
+        cpuFfnRound(1, static_cast<std::size_t>(rows), w.cfg.k, w.cfg.ne);
+    ActBytes act = actBytesPerRowLayer(w.cfg, cpu_ffn);
+    if (cpu_ffn) {
+        // No expert page moves: each layer's dense pages copy (the
+        // slots alternate layers, so a slot always holds another
+        // layer's) and nothing else.
+        EXPECT_EQ(ts.pinnedToGpu,
+                  full + (rounds * layers + 1) * denseBytes(lw));
     } else {
-        EXPECT_EQ(streamed, gen * full + full / layers)
-            << "4 rows cover all 8 experts: every round streams l "
-               "layers, plus the first round's layer-0 preload";
+        // 4 rows cover all 8 experts: every round streams l layers;
+        // round 1's layer-0 preload adds the experts the prefill's
+        // wrap-around left out, one layer in all.
+        EXPECT_EQ(ts.pinnedToGpu, gen * full + full / layers);
     }
+    EXPECT_EQ(ts.gpuToHost, row_layers * act.toHost);
+    EXPECT_EQ(ts.hostToGpu, row_layers * act.toGpu);
 }
 
 std::string
-gatedCaseName(const ::testing::TestParamInfo<std::tuple<int, int>> &info)
+cpuFfnCaseName(
+    const ::testing::TestParamInfo<std::tuple<int, int, int, bool>> &info)
 {
     static const char *kModes[] = {"float", "int8", "int4"};
-    return "rows" + std::to_string(std::get<0>(info.param)) + "_" +
-           kModes[std::get<1>(info.param)];
+    auto [rows, qidx, threads, gains] = info.param;
+    return "rows" + std::to_string(rows) + "_" + kModes[qidx] + "_attn" +
+           std::to_string(threads) + (gains ? "_norm_gains" : "");
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    RowsByKvMode, GatedRounds,
+    RowsByKvMode, CpuFfnRounds,
     ::testing::Combine(::testing::Values(1, 2, 3, 4),
-                       ::testing::Values(0, 1, 2)),
-    gatedCaseName);
+                       ::testing::Values(0, 1, 2), ::testing::Values(0, 2),
+                       ::testing::Bool()),
+    cpuFfnCaseName);
 
-TEST(GatedRounds, LoneDecodeRoundStreamsDensePlusTwoExperts)
+TEST(CpuFfnRounds, LoneDecodeRoundStreamsOnlyDensePages)
 {
     ModelWeights w = ModelWeights::random(top2of8(), 52);
     EngineConfig ec;
@@ -393,20 +418,19 @@ TEST(GatedRounds, LoneDecodeRoundStreamsDensePlusTwoExperts)
     req.maxNewTokens = 4;
     eng.submit(req);
     ASSERT_TRUE(eng.step().empty());  // admission prefill + a round
-    std::uint64_t before = eng.transferStats().pinnedToGpu;
+    TransferStats before = eng.transferStats();
     ASSERT_TRUE(eng.step().empty());  // one decode round
-    std::uint64_t delta = eng.transferStats().pinnedToGpu - before;
+    TransferStats after = eng.transferStats();
     // The previous round's last layer streamed this round's layer-0
     // dense pages, so the preload copies nothing; this round streams
     // layers 1 .. l - 1 and the next round's layer 0: l layers of
-    // dense pages. Each layer fetches its one row's k = 2 routed
-    // experts, minus those its slot still holds from an earlier
-    // round.
+    // dense pages and not one expert page.
     const LayerWeights &lw = w.layers[0];
-    std::uint64_t dense = w.cfg.l * denseBytes(lw);
-    ASSERT_GE(delta, dense);
-    EXPECT_EQ((delta - dense) % expertBytes(lw), 0u);
-    EXPECT_LE(delta - dense, w.cfg.l * 2 * expertBytes(lw));
+    EXPECT_EQ(after.pinnedToGpu - before.pinnedToGpu,
+              w.cfg.l * denseBytes(lw));
+    ActBytes act = actBytesPerRowLayer(w.cfg, true);
+    EXPECT_EQ(after.gpuToHost - before.gpuToHost, w.cfg.l * act.toHost);
+    EXPECT_EQ(after.hostToGpu - before.hostToGpu, w.cfg.l * act.toGpu);
     auto rest = eng.drain();
     ASSERT_EQ(rest.size(), 1u);
     ReferenceEngine ref(w);
@@ -429,7 +453,7 @@ class ShapeTransitions
 
 TEST_P(ShapeTransitions, MatchReferenceAndSteadyFullRoundsStreamLLayers)
 {
-    // Multi-micro-batch rounds, then router-gated rounds once only
+    // Multi-micro-batch rounds, then CPU-FFN rounds once only
     // the long request is left, then an admission, then full rounds
     // again: whatever each shape left in the weight slots, tokens stay
     // bit-identical, and a full round that follows a full round
@@ -465,11 +489,11 @@ TEST_P(ShapeTransitions, MatchReferenceAndSteadyFullRoundsStreamLLayers)
     std::uint64_t full_round =
         w.cfg.l * (denseBytes(lw) + w.cfg.ne * expertBytes(lw));
     std::map<std::int64_t, std::vector<int>> got;
-    std::size_t gated_rounds = 0, steady_full_rounds = 0;
+    std::size_t cpu_ffn_rounds = 0, steady_full_rounds = 0;
     bool wave2 = false, prev_full = false;
     while (eng.pendingRequests() + eng.activeRequests() > 0) {
-        if (!wave2 && gated_rounds == 2) {
-            // Wave 2: an admission into a gated-round slot state.
+        if (!wave2 && cpu_ffn_rounds == 2) {
+            // Wave 2: an admission into a CPU-FFN round's slot state.
             for (std::size_t i = 5; i < prompts.size(); ++i)
                 serve(i, 4);
             wave2 = true;
@@ -484,16 +508,16 @@ TEST_P(ShapeTransitions, MatchReferenceAndSteadyFullRoundsStreamLLayers)
         std::size_t rows = eng.activeRequests() + outs.size();
         for (RequestOutput &out : outs)
             got[out.id] = std::move(out.tokens);
-        bool gated =
-            routerGated((rows + ec.microBatch - 1) / ec.microBatch, rows,
+        bool cpu_ffn =
+            cpuFfnRound((rows + ec.microBatch - 1) / ec.microBatch, rows,
                         w.cfg.k, w.cfg.ne);
-        if (gated) {
-            ++gated_rounds;
+        if (cpu_ffn) {
+            ++cpu_ffn_rounds;
         } else if (prev_full && !admits) {
             ++steady_full_rounds;
             EXPECT_EQ(delta, full_round) << rows << " rows";
         }
-        prev_full = !gated;
+        prev_full = !cpu_ffn;
     }
     EXPECT_TRUE(wave2);
     EXPECT_GE(steady_full_rounds, 3u);
@@ -547,7 +571,7 @@ TEST_P(BothPoolsLive, MatchReference)
     // 16+ token prompts take the row-split prefill GEMMs and the
     // pooled MoE FFN; 10 rows decode as 3 micro-batches until the
     // short requests retire, then the long one decodes alone in
-    // router-gated rounds (1 * k < ne).
+    // CPU-FFN rounds (1 * k < ne).
     auto prompts = makePrompts(w.cfg, 10, 16, 24, 71);
     EngineConfig ec;
     ec.microBatch = 4;
@@ -568,7 +592,7 @@ TEST_P(BothPoolsLive, MatchReference)
     std::uint64_t full_round =
         w.cfg.l * (denseBytes(lw) + w.cfg.ne * expertBytes(lw));
     std::map<std::int64_t, std::vector<int>> got;
-    std::size_t gated_rounds = 0;
+    std::size_t cpu_ffn_rounds = 0;
     while (eng.pendingRequests() + eng.activeRequests() > 0) {
         bool lone = eng.pendingRequests() == 0 &&
                     eng.activeRequests() == 1;
@@ -576,9 +600,9 @@ TEST_P(BothPoolsLive, MatchReference)
         for (RequestOutput &out : eng.step())
             got[out.id] = std::move(out.tokens);
         if (lone && eng.transferStats().pinnedToGpu - before < full_round)
-            ++gated_rounds;
+            ++cpu_ffn_rounds;
     }
-    EXPECT_GE(gated_rounds, 1u);
+    EXPECT_GE(cpu_ffn_rounds, 1u);
     auto expect = ref.drain();
     ASSERT_EQ(got.size(), expect.size());
     for (const RequestOutput &e : expect)

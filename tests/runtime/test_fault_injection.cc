@@ -280,31 +280,48 @@ INSTANTIATE_TEST_SUITE_P(
         // Top-2-of-8 routing: with microBatch 2, wave 1's budgets
         // (5..8 tokens) leave 4, 4, 4, 4, 3 rows (two micro-batches,
         // whole layers of 31 pages) for decode rounds 1-5, then two
-        // rows in one micro-batch: round 6 is router-gated. Only
-        // pages a slot does not already hold are copied and checked.
-        // The prefill copies 4 x 31 = 124 pages, leaving layers 2
-        // and 3 in the slots; round 1 copies its layer-0 preload and
-        // layers 1, 2, 3 and (wrap-around) 0: 5 x 31 = 155. Rounds
-        // 2-5 find layer 0 resident and copy 4 x 31 = 124 each:
-        // 124 + 155 + 4 x 124 = 775 checks. In round 6, layer 0 is
-        // wholly resident (its preload and routed-expert fetch copy
-        // nothing); the dense pages of layers 1 and 2 take 14
-        // checks, so check 790 is the first page of layer 1's
-        // routed-expert fetch. Both rows of that round retire; wave
-        // 2 (two rows) is served by gated rounds afterwards.
-        FaultCase{"weights.load", std::nullopt, 790, "weights_gated",
+        // rows in one micro-batch: round 6 runs its MoE FFN on the
+        // CPU and streams only dense pages (7 per layer). Only pages
+        // a slot does not already hold are copied and checked. The
+        // prefill copies 4 x 31 = 124 pages, then its wrap-around node
+        // copies layer 0's 7 dense pages into slot 0 (which held layer
+        // 2): 131. Round 1's layer-0 preload copies the 24 expert
+        // pages the wrap-around left out, then layers 1, 2, 3 and
+        // (wrap-around) 0: 24 + 4 x 31 = 148. Rounds 2-5 find layer 0
+        // resident and copy 4 x 31 = 124 each: 131 + 148 + 4 x 124 =
+        // 775 checks, the same count as before the prefill streamed
+        // layer 0's dense pages, because those 7 loads only moved from
+        // round 1 into the prefill. In round 6, layer 0 is wholly
+        // resident, and layer 0 streams layer 1's dense pages into
+        // slot 1 (which holds layer 3) in checks 776-782. Check 777 is
+        // that chunk's wq page (its first page, attn_norm, is all ones
+        // in every layer, so a stale copy of it would go unseen).
+        // Both rows of that round retire; wave 2 (two rows) is served
+        // by CPU-FFN rounds afterwards.
+        FaultCase{"weights.load", std::nullopt, 777, "weights_cpu_ffn",
                   8, 2},
         // Same schedule: round 5 (3 rows) copies layers 1, 2 and 3 in
         // checks 652-744, so checks 745-775 are its wrap-around chunk,
         // which streams round 6's layer 0. Check 746 is that chunk's
-        // wq page (its first page, attn_norm, is all ones in every
-        // layer, so a stale copy of it would go unseen). The fault
-        // is round scope for round 5: its three rows retire (the
-        // fourth request finished in round 4), and wave 2 is
-        // bit-identical because the failed page, left non-resident,
-        // is copied again.
+        // wq page. The fault is round scope for round 5: its three
+        // rows retire (the fourth request finished in round 4), and
+        // wave 2 is bit-identical because the failed page, left
+        // non-resident, is copied again.
         FaultCase{"weights.load", std::nullopt, 746, "weights_wrap",
-                  8, 3}),
+                  8, 3},
+        // exec.task checks once per task as it starts, and every task
+        // of a round, plus the four fences of its sync() (one per
+        // queue), starts before the next round. The prefill runs 10
+        // tasks (4 x (Weights + Prefill), the wrap-around Weights
+        // node, Sample) and each two-micro-batch round 49 (a layer-0
+        // load, then per layer and micro-batch A Q B H C and one
+        // weight chunk): 14 + 5 x 53 = 279 before round 6. In round
+        // 6, the tasks that start before layer 0's CpuFfn are exactly
+        // its dependency chain and what the FIFO queues put ahead of
+        // it: W(L0) A Q B W(L1) H R D, so check 288 is CpuFfn(L0).
+        // Both rows retire, and the engine serves wave 2 clean.
+        FaultCase{"exec.task", std::nullopt, 288, "exec_cpu_ffn", 8,
+                  2}),
     [](const ::testing::TestParamInfo<FaultCase> &info) {
         return info.param.tag;
     });

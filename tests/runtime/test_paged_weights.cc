@@ -20,6 +20,22 @@ struct Fixture
     PagedWeightStore store{weights, pinned, 2};
 };
 
+/** Page of expert @p e's w1; its w3 and w2 follow. */
+std::size_t
+expertPage(std::size_t e)
+{
+    return PagedWeightStore::kDensePages +
+           PagedWeightStore::kPagesPerExpert * e;
+}
+
+/** Load expert @p e's three pages of @p layer, page by page. */
+void
+loadExpertPages(Fixture &f, LayerIdx layer, std::size_t e)
+{
+    for (std::size_t p = 0; p < PagedWeightStore::kPagesPerExpert; ++p)
+        f.store.loadPage(layer, expertPage(e) + p, f.te);
+}
+
 TEST(PagedWeights, ManifestCoversAllTensors)
 {
     Fixture f;
@@ -133,11 +149,11 @@ TEST(PagedWeights, LoadDenseMarksOnlyDensePages)
     EXPECT_THROW(f.store.expert(LayerIdx(1), ExpertIdx(0)), PanicError);
 }
 
-TEST(PagedWeights, LoadExpertMarksOnlyItsThreePages)
+TEST(PagedWeights, LoadingExpertPagesMarksOnlyThoseThree)
 {
     Fixture f;
     TransferStats before = f.te.stats();
-    f.store.loadExpert(LayerIdx(0), ExpertIdx(2), f.te);
+    loadExpertPages(f, LayerIdx(0), 2);
     std::vector<std::string> want{"e2.w1", "e2.w3", "e2.w2"};
     EXPECT_EQ(residentNames(f, LayerIdx(0)), want);
     const auto &lw = f.weights.layers[0];
@@ -162,14 +178,15 @@ TEST(PagedWeights, UnfetchedExpertPanics)
     Fixture f;
     for (std::size_t p = 0; p < PagedWeightStore::kDensePages; ++p)
         f.store.loadPage(LayerIdx(0), p, f.te);
-    f.store.loadExpert(LayerIdx(0), ExpertIdx(1), f.te);
+    loadExpertPages(f, LayerIdx(0), 1);
     ExpertResolver resolve = f.store.resolver(LayerIdx(0));
     EXPECT_NO_THROW(resolve(1));
     EXPECT_THROW(resolve(3), PanicError);
     // A fetched expert of another layer sharing the slot is stale.
-    f.store.loadExpert(LayerIdx(2), ExpertIdx(1), f.te);
+    loadExpertPages(f, LayerIdx(2), 1);
     EXPECT_THROW(resolve(1), PanicError);
-    EXPECT_THROW(f.store.loadExpert(LayerIdx(0), ExpertIdx(4), f.te),
+    // ne = 4: expert 4's first page is past the layer's last.
+    EXPECT_THROW(f.store.loadPage(LayerIdx(0), expertPage(4), f.te),
                  PanicError);
 }
 
@@ -188,8 +205,7 @@ TEST(PagedWeights, ReloadingResidentPageMovesNothingAndSkipsLoadCheck)
         EXPECT_NO_THROW(f.store.loadLayer(LayerIdx(0), f.te));
         for (std::size_t p = 0; p < PagedWeightStore::kDensePages; ++p)
             EXPECT_NO_THROW(f.store.loadPage(LayerIdx(0), p, f.te));
-        EXPECT_NO_THROW(f.store.loadExpert(LayerIdx(0), ExpertIdx(3),
-                                           f.te));
+        EXPECT_NO_THROW(loadExpertPages(f, LayerIdx(0), 3));
         EXPECT_EQ(fault.hits(), 0u);
     }
     EXPECT_EQ(f.te.stats().pinnedToGpu, before);
@@ -219,8 +235,7 @@ TEST(PagedWeights, InjectedLoadFaultLeavesPageNonResidentAndRetryCopies)
 {
     Fixture f;
     f.store.loadLayer(LayerIdx(0), f.te);
-    std::size_t e1w1 = PagedWeightStore::kDensePages +
-                       PagedWeightStore::kPagesPerExpert;
+    std::size_t e1w1 = expertPage(1);
     {
         ScopedFault fault("weights.load", 1);
         EXPECT_THROW(f.store.loadPage(LayerIdx(2), e1w1, f.te),

@@ -58,7 +58,7 @@ recordedShape(const recorded::DecodeRound &r)
             .chunks = r.ubs,
             .pagesPerLayer = recorded::kPages,
             .densePages = recorded::kDensePages,
-            .gated = r.gated};
+            .cpuFfn = r.cpuFfn};
 }
 
 RoundShape
@@ -69,7 +69,7 @@ fullShape(std::size_t layers, std::size_t ubs, std::size_t pages = 13)
             .chunks = ubs,
             .pagesPerLayer = pages,
             .densePages = 7,
-            .gated = false};
+            .cpuFfn = false};
 }
 
 // ---------------------------------------------------------------------
@@ -90,8 +90,8 @@ TEST(RoundPlan, PrefillMatchesRecordedSubmissionOrder)
 {
     for (const recorded::PrefillRound &r : recorded::kPrefillRounds) {
         SCOPED_TRACE(r.layers);
-        EXPECT_EQ(byQueue(render(planPrefillRound(r.layers,
-                                                  recorded::kPages))),
+        EXPECT_EQ(byQueue(render(planPrefillRound(
+                      r.layers, recorded::kPages, recorded::kDensePages))),
                   byQueue(r.tasks));
     }
 }
@@ -144,30 +144,55 @@ TEST(RoundPlan, FullRoundStreamsEveryPageOfEveryLayerOnce)
             auto count = pageCounts(plan, layers + 1, 13);
             for (const auto &layer : count)
                 EXPECT_EQ(layer, std::vector<int>(13, 1));
-            EXPECT_EQ(countStage(plan, Stage::FetchExperts), 0u);
+            EXPECT_EQ(countStage(plan, Stage::CpuFfn), 0u);
             EXPECT_EQ(countStage(plan, Stage::PostAttn), layers * ubs);
         }
 }
 
-TEST(RoundPlan, GatedRoundStreamsOnlyDensePagesAhead)
+/** The one dependency of @p n, which must be a node of stage @p s. */
+const PlanNode &
+onlyDep(const RoundPlan &plan, const PlanNode &n, Stage s)
+{
+    EXPECT_EQ(n.deps.size(), 1u) << label(n);
+    const PlanNode &d = plan[n.deps.at(0)];
+    EXPECT_EQ(d.stage, s) << label(n) << " <- " << label(d);
+    EXPECT_EQ(d.layer, n.layer) << label(n) << " <- " << label(d);
+    return d;
+}
+
+TEST(RoundPlan, CpuFfnRoundStreamsNoExpertPage)
 {
     for (std::size_t layers : {4u, 8u}) {
         RoundShape s = fullShape(layers, 1);
-        s.gated = true;
+        s.cpuFfn = true;
         RoundPlan plan = planDecodeRound(s);
+        // Only dense pages cross the link, one copy per layer.
         auto count = pageCounts(plan, layers + 1, 13);
         std::vector<int> dense(13, 0);
         std::fill(dense.begin(), dense.begin() + 7, 1);
         for (const auto &layer : count)
             EXPECT_EQ(layer, dense);
-        // The experts come one FetchExperts per layer, after Route.
-        EXPECT_EQ(countStage(plan, Stage::FetchExperts), layers);
-        EXPECT_EQ(countStage(plan, Stage::Route), layers);
-        EXPECT_EQ(countStage(plan, Stage::Ffn), layers);
         EXPECT_EQ(countStage(plan, Stage::PostAttn), 0u);
+        // Per layer: LoadH -> Route -> OffloadFfn -> CpuFfn ->
+        // LoadFfn -> Ffn, each on the one before it; the next layer's
+        // PreAttn waits on this layer's Ffn.
+        for (Stage st : {Stage::Route, Stage::OffloadFfn, Stage::CpuFfn,
+                         Stage::LoadFfn, Stage::Ffn})
+            EXPECT_EQ(countStage(plan, st), layers);
         for (const PlanNode &n : plan) {
-            if (n.stage == Stage::FetchExperts) {
-                EXPECT_EQ(plan[n.deps.at(0)].stage, Stage::Route);
+            if (n.stage == Stage::Ffn) {
+                const PlanNode &load = onlyDep(plan, n, Stage::LoadFfn);
+                const PlanNode &ffn = onlyDep(plan, load, Stage::CpuFfn);
+                const PlanNode &off =
+                    onlyDep(plan, ffn, Stage::OffloadFfn);
+                const PlanNode &route = onlyDep(plan, off, Stage::Route);
+                EXPECT_EQ(plan[route.deps.at(0)].stage, Stage::LoadH);
+            }
+            if (n.stage == Stage::PreAttn && n.layer.value() > 0) {
+                ASSERT_EQ(n.deps.size(), 2u) << label(n);
+                EXPECT_EQ(label(plan[n.deps[1]]),
+                          "E(L" + std::to_string(n.layer.value() - 1) +
+                              ",U0)");
             }
         }
     }
@@ -176,9 +201,15 @@ TEST(RoundPlan, GatedRoundStreamsOnlyDensePagesAhead)
 TEST(RoundPlan, PrefillStreamsEveryPageOfEveryLayerOnce)
 {
     for (std::size_t layers : {2u, 4u, 8u}) {
-        RoundPlan plan = planPrefillRound(layers, 13);
-        for (const auto &layer : pageCounts(plan, layers, 13))
-            EXPECT_EQ(layer, std::vector<int>(13, 1));
+        RoundPlan plan = planPrefillRound(layers, 13, 7);
+        auto count = pageCounts(plan, layers + 1, 13);
+        for (std::size_t li = 0; li < layers; ++li)
+            EXPECT_EQ(count[li], std::vector<int>(13, 1));
+        // The wrap-around node streams the next round's layer 0 dense
+        // pages.
+        std::vector<int> dense(13, 0);
+        std::fill(dense.begin(), dense.begin() + 7, 1);
+        EXPECT_EQ(count[layers], dense);
         EXPECT_EQ(countStage(plan, Stage::Prefill), layers);
         EXPECT_EQ(countStage(plan, Stage::Sample), 1u);
     }
@@ -228,7 +259,8 @@ happensBefore(const RoundPlan &plan)
 }
 
 /** The page classes a node reads or writes: bit 0 dense pages
- *  [0, 7), bit 1 expert pages. 0 when it touches no weight page. */
+ *  [0, 7), bit 1 expert pages. 0 when it touches no weight page (a
+ *  CPU-FFN round's FFN reads host-resident experts). */
 int
 weightPages(const PlanNode &n)
 {
@@ -240,9 +272,6 @@ weightPages(const PlanNode &n)
       case Stage::PreAttn:
       case Stage::Route:
         return 1;
-      case Stage::FetchExperts:
-      case Stage::Ffn:
-        return 2;
       case Stage::PostAttn:
       case Stage::Prefill:
         return 3;
@@ -254,7 +283,7 @@ weightPages(const PlanNode &n)
 bool
 writes(const PlanNode &n)
 {
-    return n.queue() == ResourceKind::HtoD && n.stage != Stage::LoadH;
+    return n.stage == Stage::Weights;
 }
 
 /**
@@ -315,11 +344,11 @@ TEST(RoundPlan, DoubleBufferIsSafeWhenFirstChunksAreEmpty)
     expectDoubleBufferSafe(planDecodeRound(fullShape(4, 3, 2)));
 }
 
-TEST(RoundPlan, GatedDoubleBufferIsSafe)
+TEST(RoundPlan, CpuFfnDoubleBufferIsSafe)
 {
     for (std::size_t layers : {4u, 8u}) {
         RoundShape s = fullShape(layers, 1);
-        s.gated = true;
+        s.cpuFfn = true;
         expectDoubleBufferSafe(planDecodeRound(s));
     }
 }
@@ -327,17 +356,17 @@ TEST(RoundPlan, GatedDoubleBufferIsSafe)
 TEST(RoundPlan, PrefillDoubleBufferIsSafe)
 {
     for (std::size_t layers : {2u, 4u, 8u})
-        expectDoubleBufferSafe(planPrefillRound(layers, 13));
+        expectDoubleBufferSafe(planPrefillRound(layers, 13, 7));
 }
 
-TEST(RoundPlan, RouterGatedNeedsOneMicroBatchShortOfEveryExpert)
+TEST(RoundPlan, CpuFfnRoundNeedsOneMicroBatchShortOfEveryExpert)
 {
-    EXPECT_TRUE(routerGated(1, 1, 2, 8));
-    EXPECT_TRUE(routerGated(1, 3, 2, 8));
-    EXPECT_FALSE(routerGated(1, 4, 2, 8));   // rows * k reaches ne
-    EXPECT_FALSE(routerGated(2, 2, 2, 8));   // two micro-batches
+    EXPECT_TRUE(cpuFfnRound(1, 1, 2, 8));
+    EXPECT_TRUE(cpuFfnRound(1, 3, 2, 8));
+    EXPECT_FALSE(cpuFfnRound(1, 4, 2, 8));   // rows * k reaches ne
+    EXPECT_FALSE(cpuFfnRound(2, 2, 2, 8));   // two micro-batches
     RoundShape s = fullShape(4, 2);
-    s.gated = true;
+    s.cpuFfn = true;
     EXPECT_THROW(planDecodeRound(s), PanicError);
 }
 

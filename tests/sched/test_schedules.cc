@@ -173,24 +173,31 @@ TEST(Schedules, MoreUbsSmoothsPipeline)
 
 TEST(Schedules, WeightStreamPerLayerMatchesPerfModel)
 {
-    // The simulated weight stream (Weights and FetchExperts nodes) of
-    // every layer adds up to PerfModel's per-layer stream time, for a
-    // router-gated one-micro-batch policy and for a full one.
+    // The simulated weight stream (the Weights nodes) of every layer
+    // adds up to PerfModel's per-layer stream time, for a CPU-FFN
+    // one-micro-batch policy (dense pages only, and one CpuFfn node
+    // per layer at cpuFfnTime) and for a full one.
     PerfModel pm = s1Model();
     ScheduleOptions o = smallOpts();
     std::size_t layers = static_cast<std::size_t>(o.decodeSteps * o.layers);
     for (Policy p : {cgoPolicy(2, 2), cgoPolicy(256, 32)}) {
-        bool gated = p.numUbs() == 1;
-        SCOPED_TRACE(gated ? "gated" : "full");
+        bool cpu_ffn = p.numUbs() == 1;
+        SCOPED_TRACE(cpu_ffn ? "cpu ffn" : "full");
+        EXPECT_EQ(pm.ffnOnCpu(p), cpu_ffn);
         TaskGraph g = buildSchedule(SystemKind::MoeLightning, pm, p, o);
         SimTime weights = 0;
-        std::size_t fetches = 0;
+        std::size_t ffns = 0;
         for (const SimTask &t : g.tasks()) {
-            if (t.label[0] == 'W' || t.label[0] == 'F')
+            if (t.label[0] == 'W')
                 weights += t.duration;
-            fetches += t.label[0] == 'F';
+            if (t.label[0] == 'F') {
+                ++ffns;
+                EXPECT_EQ(t.resource, ResourceKind::Cpu);
+                EXPECT_NEAR(toSeconds(t.duration),
+                            pm.cpuFfnTime(p.microBatch), 1e-6);
+            }
         }
-        EXPECT_EQ(fetches, gated ? layers : 0u);
+        EXPECT_EQ(ffns, cpu_ffn ? layers : 0u);
         EXPECT_GT(simulate(g).makespan, 0);
         EXPECT_NEAR(toSeconds(weights) / static_cast<double>(layers),
                     pm.weightStreamTime(p), 1e-6);
